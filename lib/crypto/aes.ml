@@ -47,34 +47,27 @@ let block_size = 16
    byte value per table). te/td follow the standard formulation:
      te0[x] = (2s, s, s, 3s)        with s = sbox[x]
      td0[x] = (14i, 9i, 13i, 11i)   with i = inv_sbox applied upstream
+   and te_j/td_j are te0/td0 rotated right by 8j bits. The four tables
+   of each direction sit back to back in one array ([te.(256 * j + x)]
+   is te_j[x]), so a round needs one table base register, not four.
    Built at init from the computed S-box — again no literal tables. *)
 
 let pack a b c d = (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 let rot32 x n = ((x lsr n) lor (x lsl (32 - n))) land 0xffffffff
 
-let te0 = Array.make 256 0
-let te1 = Array.make 256 0
-let te2 = Array.make 256 0
-let te3 = Array.make 256 0
-let td0 = Array.make 256 0
-let td1 = Array.make 256 0
-let td2 = Array.make 256 0
-let td3 = Array.make 256 0
+let te = Array.make 1024 0
+let td = Array.make 1024 0
 
 let () =
   for x = 0 to 255 do
     let s = sbox.(x) in
     let e = pack (gmul s 2) s s (gmul s 3) in
-    te0.(x) <- e;
-    te1.(x) <- rot32 e 8;
-    te2.(x) <- rot32 e 16;
-    te3.(x) <- rot32 e 24;
     let i = inv_sbox.(x) in
     let d = pack (gmul i 14) (gmul i 9) (gmul i 13) (gmul i 11) in
-    td0.(x) <- d;
-    td1.(x) <- rot32 d 8;
-    td2.(x) <- rot32 d 16;
-    td3.(x) <- rot32 d 24
+    for j = 0 to 3 do
+      te.((256 * j) + x) <- (if j = 0 then e else rot32 e (8 * j));
+      td.((256 * j) + x) <- (if j = 0 then d else rot32 d (8 * j))
+    done
   done
 
 (* Expanded key: forward schedule for encryption plus the equivalent
@@ -143,74 +136,68 @@ let expand_key key_str =
   { enc = w; dec; rounds }
 
 (* Word load/store helpers. Offsets come from the block-mode drivers,
-   which iterate in exact 16-byte steps over buffers they sized — the
-   unchecked accessors keep the per-round cost to the table lookups. *)
-let get_word src off =
-  (Char.code (Bytes.unsafe_get src off) lsl 24)
-  lor (Char.code (Bytes.unsafe_get src (off + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get src (off + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get src (off + 3))
+   which iterate in exact 16-byte steps over buffers they sized; the
+   loads are single 32-bit big-endian reads, masked back to 32 bits
+   (the conversion from [int32] sign-extends). *)
+let get_word src off = Int32.to_int (Bytes.get_int32_be src off) land 0xffffffff
 
 let get_word_str src off =
-  (Char.code (String.unsafe_get src off) lsl 24)
-  lor (Char.code (String.unsafe_get src (off + 1)) lsl 16)
-  lor (Char.code (String.unsafe_get src (off + 2)) lsl 8)
-  lor Char.code (String.unsafe_get src (off + 3))
+  Int32.to_int (String.get_int32_be src off) land 0xffffffff
 
-let put_word dst off v =
-  Bytes.unsafe_set dst off (Char.unsafe_chr ((v lsr 24) land 0xff));
-  Bytes.unsafe_set dst (off + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (v land 0xff))
+let put_word dst off v = Bytes.set_int32_be dst off (Int32.of_int v)
 
-(* Core rounds; [s0..s3] are the state words already whitened with
-   round key 0. *)
+(* Core rounds; [i0..i3] are the state words already whitened with
+   round key 0, and [x0..x3] are xored into the output words (the CBC
+   chaining block on decryption, zero otherwise). Every table index is
+   a byte ([land 0xff], or [lsr 24] of a 32-bit word) and every round
+   key index is below [4 * (rounds + 1)], so the lookups skip the bounds
+   check. *)
 let encrypt_core key i0 i1 i2 i3 dst doff =
+  let te = te in
   let w = key.enc in
   let rounds = key.rounds in
   let s0 = ref i0 and s1 = ref i1 and s2 = ref i2 and s3 = ref i3 in
   for r = 1 to rounds - 1 do
-    let t0 =
-      te0.(!s0 lsr 24)
-      lxor te1.((!s1 lsr 16) land 0xff)
-      lxor te2.((!s2 lsr 8) land 0xff)
-      lxor te3.(!s3 land 0xff)
-      lxor w.(4 * r)
-    and t1 =
-      te0.(!s1 lsr 24)
-      lxor te1.((!s2 lsr 16) land 0xff)
-      lxor te2.((!s3 lsr 8) land 0xff)
-      lxor te3.(!s0 land 0xff)
-      lxor w.((4 * r) + 1)
-    and t2 =
-      te0.(!s2 lsr 24)
-      lxor te1.((!s3 lsr 16) land 0xff)
-      lxor te2.((!s0 lsr 8) land 0xff)
-      lxor te3.(!s1 land 0xff)
-      lxor w.((4 * r) + 2)
-    and t3 =
-      te0.(!s3 lsr 24)
-      lxor te1.((!s0 lsr 16) land 0xff)
-      lxor te2.((!s1 lsr 8) land 0xff)
-      lxor te3.(!s2 land 0xff)
-      lxor w.((4 * r) + 3)
-    in
-    s0 := t0;
-    s1 := t1;
-    s2 := t2;
-    s3 := t3
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+    let k = 4 * r in
+    s0 :=
+      Array.unsafe_get te (a lsr 24)
+      lxor Array.unsafe_get te (256 + ((b lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((c lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (d land 0xff))
+      lxor Array.unsafe_get w k;
+    s1 :=
+      Array.unsafe_get te (b lsr 24)
+      lxor Array.unsafe_get te (256 + ((c lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((d lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (a land 0xff))
+      lxor Array.unsafe_get w (k + 1);
+    s2 :=
+      Array.unsafe_get te (c lsr 24)
+      lxor Array.unsafe_get te (256 + ((d lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((a lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (b land 0xff))
+      lxor Array.unsafe_get w (k + 2);
+    s3 :=
+      Array.unsafe_get te (d lsr 24)
+      lxor Array.unsafe_get te (256 + ((a lsr 16) land 0xff))
+      lxor Array.unsafe_get te (512 + ((b lsr 8) land 0xff))
+      lxor Array.unsafe_get te (768 + (c land 0xff))
+      lxor Array.unsafe_get w (k + 3)
   done;
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  let k = 4 * rounds in
   let final a b c d k =
-    (sbox.(!a lsr 24) lsl 24)
-    lor (sbox.((!b lsr 16) land 0xff) lsl 16)
-    lor (sbox.((!c lsr 8) land 0xff) lsl 8)
-    lor sbox.(!d land 0xff)
-    lxor k
+    (Array.unsafe_get sbox (a lsr 24) lsl 24)
+    lor (Array.unsafe_get sbox ((b lsr 16) land 0xff) lsl 16)
+    lor (Array.unsafe_get sbox ((c lsr 8) land 0xff) lsl 8)
+    lor Array.unsafe_get sbox (d land 0xff)
+    lxor Array.unsafe_get w k
   in
-  put_word dst doff (final s0 s1 s2 s3 w.(4 * rounds));
-  put_word dst (doff + 4) (final s1 s2 s3 s0 w.((4 * rounds) + 1));
-  put_word dst (doff + 8) (final s2 s3 s0 s1 w.((4 * rounds) + 2));
-  put_word dst (doff + 12) (final s3 s0 s1 s2 w.((4 * rounds) + 3))
+  put_word dst doff (final a b c d k);
+  put_word dst (doff + 4) (final b c d a (k + 1));
+  put_word dst (doff + 8) (final c d a b (k + 2));
+  put_word dst (doff + 12) (final d a b c (k + 3))
 
 let encrypt_block_into key src soff dst doff =
   let w = key.enc in
@@ -221,88 +208,88 @@ let encrypt_block_into key src soff dst doff =
     (get_word src (soff + 12) lxor w.(3))
     dst doff
 
-let encrypt_str_into key src soff dst doff =
+(* One CBC encryption step in place: the block at [off] is xored with
+   the ciphertext block before it and encrypted over itself. *)
+let encrypt_chained_into key buf off =
   let w = key.enc in
   encrypt_core key
-    (get_word_str src soff lxor w.(0))
-    (get_word_str src (soff + 4) lxor w.(1))
-    (get_word_str src (soff + 8) lxor w.(2))
-    (get_word_str src (soff + 12) lxor w.(3))
-    dst doff
+    (get_word buf off lxor get_word buf (off - 16) lxor w.(0))
+    (get_word buf (off + 4) lxor get_word buf (off - 12) lxor w.(1))
+    (get_word buf (off + 8) lxor get_word buf (off - 8) lxor w.(2))
+    (get_word buf (off + 12) lxor get_word buf (off - 4) lxor w.(3))
+    buf off
 
-let decrypt_core key i0 i1 i2 i3 dst doff =
+let decrypt_core key i0 i1 i2 i3 x0 x1 x2 x3 dst doff =
+  let td = td in
   let w = key.dec in
   let rounds = key.rounds in
   let s0 = ref i0 and s1 = ref i1 and s2 = ref i2 and s3 = ref i3 in
   for r = 1 to rounds - 1 do
-    let t0 =
-      td0.(!s0 lsr 24)
-      lxor td1.((!s3 lsr 16) land 0xff)
-      lxor td2.((!s2 lsr 8) land 0xff)
-      lxor td3.(!s1 land 0xff)
-      lxor w.(4 * r)
-    and t1 =
-      td0.(!s1 lsr 24)
-      lxor td1.((!s0 lsr 16) land 0xff)
-      lxor td2.((!s3 lsr 8) land 0xff)
-      lxor td3.(!s2 land 0xff)
-      lxor w.((4 * r) + 1)
-    and t2 =
-      td0.(!s2 lsr 24)
-      lxor td1.((!s1 lsr 16) land 0xff)
-      lxor td2.((!s0 lsr 8) land 0xff)
-      lxor td3.(!s3 land 0xff)
-      lxor w.((4 * r) + 2)
-    and t3 =
-      td0.(!s3 lsr 24)
-      lxor td1.((!s2 lsr 16) land 0xff)
-      lxor td2.((!s1 lsr 8) land 0xff)
-      lxor td3.(!s0 land 0xff)
-      lxor w.((4 * r) + 3)
-    in
-    s0 := t0;
-    s1 := t1;
-    s2 := t2;
-    s3 := t3
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+    let k = 4 * r in
+    s0 :=
+      Array.unsafe_get td (a lsr 24)
+      lxor Array.unsafe_get td (256 + ((d lsr 16) land 0xff))
+      lxor Array.unsafe_get td (512 + ((c lsr 8) land 0xff))
+      lxor Array.unsafe_get td (768 + (b land 0xff))
+      lxor Array.unsafe_get w k;
+    s1 :=
+      Array.unsafe_get td (b lsr 24)
+      lxor Array.unsafe_get td (256 + ((a lsr 16) land 0xff))
+      lxor Array.unsafe_get td (512 + ((d lsr 8) land 0xff))
+      lxor Array.unsafe_get td (768 + (c land 0xff))
+      lxor Array.unsafe_get w (k + 1);
+    s2 :=
+      Array.unsafe_get td (c lsr 24)
+      lxor Array.unsafe_get td (256 + ((b lsr 16) land 0xff))
+      lxor Array.unsafe_get td (512 + ((a lsr 8) land 0xff))
+      lxor Array.unsafe_get td (768 + (d land 0xff))
+      lxor Array.unsafe_get w (k + 2);
+    s3 :=
+      Array.unsafe_get td (d lsr 24)
+      lxor Array.unsafe_get td (256 + ((c lsr 16) land 0xff))
+      lxor Array.unsafe_get td (512 + ((b lsr 8) land 0xff))
+      lxor Array.unsafe_get td (768 + (a land 0xff))
+      lxor Array.unsafe_get w (k + 3)
   done;
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  let k = 4 * rounds in
   let final a b c d k =
-    (inv_sbox.(!a lsr 24) lsl 24)
-    lor (inv_sbox.((!b lsr 16) land 0xff) lsl 16)
-    lor (inv_sbox.((!c lsr 8) land 0xff) lsl 8)
-    lor inv_sbox.(!d land 0xff)
-    lxor k
+    (Array.unsafe_get inv_sbox (a lsr 24) lsl 24)
+    lor (Array.unsafe_get inv_sbox ((b lsr 16) land 0xff) lsl 16)
+    lor (Array.unsafe_get inv_sbox ((c lsr 8) land 0xff) lsl 8)
+    lor Array.unsafe_get inv_sbox (d land 0xff)
+    lxor Array.unsafe_get w k
   in
-  put_word dst doff (final s0 s3 s2 s1 w.(4 * rounds));
-  put_word dst (doff + 4) (final s1 s0 s3 s2 w.((4 * rounds) + 1));
-  put_word dst (doff + 8) (final s2 s1 s0 s3 w.((4 * rounds) + 2));
-  put_word dst (doff + 12) (final s3 s2 s1 s0 w.((4 * rounds) + 3))
+  put_word dst doff (final a d c b k lxor x0);
+  put_word dst (doff + 4) (final b a d c (k + 1) lxor x1);
+  put_word dst (doff + 8) (final c b a d (k + 2) lxor x2);
+  put_word dst (doff + 12) (final d c b a (k + 3) lxor x3)
 
-let decrypt_block_into key src soff dst doff =
-  let w = key.dec in
-  decrypt_core key
-    (get_word src soff lxor w.(0))
-    (get_word src (soff + 4) lxor w.(1))
-    (get_word src (soff + 8) lxor w.(2))
-    (get_word src (soff + 12) lxor w.(3))
-    dst doff
-
-let decrypt_str_into key src soff dst doff =
+let decrypt_xor_str_into key src soff chain coff dst doff =
   let w = key.dec in
   decrypt_core key
     (get_word_str src soff lxor w.(0))
     (get_word_str src (soff + 4) lxor w.(1))
     (get_word_str src (soff + 8) lxor w.(2))
     (get_word_str src (soff + 12) lxor w.(3))
+    (get_word_str chain coff)
+    (get_word_str chain (coff + 4))
+    (get_word_str chain (coff + 8))
+    (get_word_str chain (coff + 12))
     dst doff
+
+let zero_block = String.make 16 '\000'
 
 let encrypt_block key plain =
   if String.length plain <> 16 then invalid_arg "Aes.encrypt_block: need 16 bytes";
   let dst = Bytes.create 16 in
-  encrypt_str_into key plain 0 dst 0;
+  Bytes.blit_string plain 0 dst 0 16;
+  encrypt_block_into key dst 0 dst 0;
   Bytes.unsafe_to_string dst
 
 let decrypt_block key cipher =
   if String.length cipher <> 16 then invalid_arg "Aes.decrypt_block: need 16 bytes";
   let dst = Bytes.create 16 in
-  decrypt_str_into key cipher 0 dst 0;
+  decrypt_xor_str_into key cipher 0 zero_block 0 dst 0;
   Bytes.unsafe_to_string dst

@@ -19,13 +19,20 @@ val decrypt_block : key -> string -> string
 
 (**/**)
 
-val encrypt_block_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
-val decrypt_block_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
+(* Block-mode kernels for {!Modes}, which validates the ranges and
+   iterates in exact 16-byte steps. In-place use (src and dst aliasing)
+   is safe: every input word is loaded before anything is written. *)
 
-(* String-source variants: one 16-byte block read straight from an
-   immutable message (the block-mode hot paths decrypt ciphertext
-   strings without first copying them into a [Bytes.t]). In-place use
-   (src and dst aliasing) is safe for the [Bytes.t] variants: the
-   state words are loaded before anything is written. *)
-val encrypt_str_into : key -> string -> int -> Bytes.t -> int -> unit
-val decrypt_str_into : key -> string -> int -> Bytes.t -> int -> unit
+val encrypt_block_into : key -> Bytes.t -> int -> Bytes.t -> int -> unit
+
+val encrypt_chained_into : key -> Bytes.t -> int -> unit
+(** [encrypt_chained_into key buf off] is one CBC encryption step in
+    place: [buf.[off..off+15]] becomes the encryption of itself xored
+    with the 16 bytes before it. *)
+
+val decrypt_xor_str_into :
+  key -> string -> int -> string -> int -> Bytes.t -> int -> unit
+(** [decrypt_xor_str_into key src soff chain coff dst doff] decrypts the
+    block at [src.[soff]], xors it with [chain.[coff..coff+15]] and
+    writes the result at [dst.[doff]]: one CBC decryption step, read
+    straight from an immutable ciphertext. *)

@@ -27,21 +27,27 @@ let precompute ~key =
   Sha256.update ostate (xor_pad key 0x5c);
   { istate; ostate }
 
-let mac_pre pk msg =
-  let ctx = Sha256.copy pk.istate in
-  Sha256.update ctx msg;
+(* Every prekeyed MAC is [finish pk (absorb into (start pk))]: the
+   entry points below differ only in how they feed the message. *)
+let start pk = Sha256.copy pk.istate
+
+let finish pk ctx =
   let inner = Sha256.finalize ctx in
   let ctx = Sha256.copy pk.ostate in
   Sha256.update ctx inner;
   Sha256.finalize ctx
 
+let mac_pre_slices pk slices =
+  let ctx = start pk in
+  List.iter (fun (s, off, len) -> Sha256.update_sub ctx s off len) slices;
+  finish pk ctx
+
 let mac_pre_list pk parts =
-  let ctx = Sha256.copy pk.istate in
+  let ctx = start pk in
   List.iter (Sha256.update ctx) parts;
-  let inner = Sha256.finalize ctx in
-  let ctx = Sha256.copy pk.ostate in
-  Sha256.update ctx inner;
-  Sha256.finalize ctx
+  finish pk ctx
+
+let mac_pre pk msg = mac_pre_list pk [ msg ]
 
 let mac ~key msg = mac_pre (precompute ~key) msg
 

@@ -31,5 +31,12 @@ val mac_pre : prekey -> string -> string
 val mac_pre_list : prekey -> string list -> string
 (** MAC of the concatenation of the parts, without building it. *)
 
+val mac_pre_slices : prekey -> (string * int * int) list -> string
+(** [mac_pre_slices pk [(s, off, len); ...]] is the MAC of the
+    concatenation of the slices [s.[off .. off+len-1]], read in place
+    without copying them out. Tags equal {!mac_pre_list} over the
+    [String.sub] copies.
+    @raise Invalid_argument if a range is not inside its string. *)
+
 val verify_pre : prekey -> mac:string -> string -> bool
 (** Constant-time tag check against a precomputed key. *)

@@ -91,31 +91,49 @@ let prove t i =
   in
   { index = i; siblings = collect (t.cap + i) [] }
 
-(* Verification recomputes the path bottom-up with a *fresh* op counter
-   owner: the verifier may be a different party (e.g. the host checking
-   a proof shipped by storage), so we take key and root explicitly. *)
+(* The path climb shared by [verify] and [verify_path]: hash
+   [leaf_tag] with the sibling of each of the [levels] levels below the
+   root, left or right by the index's bit at that level, and return the
+   recomputed root. *)
+let climb pk ~index ~leaf_tag ~levels sibling =
+  let node = ref leaf_tag and index = ref index in
+  for level = 0 to levels - 1 do
+    let s = sibling level in
+    node :=
+      if !index land 1 = 0 then Hmac.mac_pre_list pk [ !node; s ]
+      else Hmac.mac_pre_list pk [ s; !node ];
+    index := !index / 2
+  done;
+  !node
+
+(* Verification of a shipped proof takes key and root explicitly: the
+   verifier may be a different party (e.g. the host checking a proof
+   shipped by storage). *)
 let verify ~key ~root:expected_root ~leaf_tag proof =
-  (* one key absorption serves the whole path *)
-  let pk = Hmac.precompute ~key in
-  let counter = ref 0 in
-  let h a b =
-    incr counter;
-    Hmac.mac_pre_list pk [ a; b ]
+  let siblings = Array.of_list proof.siblings in
+  let levels = Array.length siblings in
+  let computed =
+    climb (Hmac.precompute ~key) ~index:proof.index ~leaf_tag ~levels
+      (Array.get siblings)
   in
-  let rec climb index node = function
-    | [] -> node
-    | sibling :: rest ->
-        let parent =
-          if index land 1 = 0 then h node sibling else h sibling node
-        in
-        climb (index / 2) parent rest
-  in
-  let computed = climb proof.index leaf_tag proof.siblings in
-  (Constant_time.equal computed expected_root, !counter)
+  (Constant_time.equal computed expected_root, levels)
 
 let depth t =
   let rec go cap acc = if cap <= 1 then acc else go (cap / 2) (acc + 1) in
   go t.cap 0
+
+(* The owner's check of leaf [i]: the same climb as [prove] + [verify],
+   reading the siblings straight from the tree and using the tree's own
+   prekey, to the tree's current root. Like [verify], it leaves
+   [hash_ops] alone and returns its own count. *)
+let verify_path t i ~leaf_tag =
+  check_index t i;
+  let pos = t.cap + i and levels = depth t in
+  let computed =
+    climb t.prekey ~index:i ~leaf_tag ~levels (fun level ->
+        t.nodes.((pos lsr level) lxor 1))
+  in
+  (Constant_time.equal computed t.nodes.(1), levels)
 
 (* -- batched verification ------------------------------------------- *)
 

@@ -39,6 +39,13 @@ val verify :
     it matches [root] and how many HMAC evaluations were performed (for
     cost accounting). *)
 
+val verify_path : t -> int -> leaf_tag:string -> bool * int
+(** [verify_path t i ~leaf_tag] is
+    [verify ~key ~root:(root t) ~leaf_tag (prove t i)] for the tree's own
+    key, computed without building the proof or re-deriving the key:
+    whether [leaf_tag] at leaf [i] climbs to the current root, and how
+    many HMAC evaluations that took ([depth t]). *)
+
 val hash_ops : t -> int
 (** HMAC evaluations performed by this tree since last reset. *)
 

@@ -2,18 +2,15 @@
    paper's SQLCipher setup uses AES-CBC per database page) and CTR for
    stream-style channel encryption.
 
-   Both CBC directions run in place over a single output buffer: the
-   only allocations per call are the output itself (and the unpadded
-   copy on decrypt) — no per-block temporaries, no staging copies of
-   the message. This is the secure store's per-page hot path. *)
-
-let xor_into dst doff src soff len =
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (doff + i)
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst (doff + i))
-         lxor Char.code (Bytes.unsafe_get src (soff + i))))
-  done
+   CBC runs straight between the caller's input and a single output
+   buffer, with the chaining xor folded into the AES kernels: no
+   per-block temporaries and no staging copies of the message.
+   Decryption reads its ciphertext in place from any offset of a
+   larger string (the secure store decrypts straight out of the raw
+   device page), and decrypts the last block first, so the padding is
+   checked and the output allocated at its exact unpadded size before
+   the rest is decrypted. This is the secure store's per-page hot
+   path. *)
 
 let xor_str_into dst doff src soff len =
   for i = 0 to len - 1 do
@@ -49,46 +46,53 @@ let cbc_encrypt ~key ~iv plain =
   let len = String.length plain in
   let pad = 16 - (len mod 16) in
   let n = len + pad in
-  (* pad directly into the output; each block is then xored with the
-     previous ciphertext block (already in [out]) and encrypted in
-     place — [Aes] loads the whole block before writing *)
+  (* pad directly into the output, then encrypt each block in place,
+     chained to the ciphertext block before it *)
   let out = Bytes.create n in
   Bytes.blit_string plain 0 out 0 len;
   Bytes.fill out len pad (Char.chr pad);
   xor_str_into out 0 iv 0 16;
   Aes.encrypt_block_into key out 0 out 0;
   for i = 1 to (n / 16) - 1 do
-    xor_into out (i * 16) out ((i - 1) * 16) 16;
-    Aes.encrypt_block_into key out (i * 16) out (i * 16)
+    Aes.encrypt_chained_into key out (i * 16)
   done;
   Bytes.unsafe_to_string out
 
-let cbc_decrypt ~key ~iv cipher =
+let cbc_decrypt_sub ~key ~iv src off n =
   if String.length iv <> 16 then invalid_arg "Modes.cbc_decrypt: iv must be 16 bytes";
-  let n = String.length cipher in
+  if off < 0 || n < 0 || off > String.length src - n then
+    invalid_arg "Modes.cbc_decrypt_sub: range out of bounds";
   if n = 0 || n mod 16 <> 0 then Error "cbc: ciphertext not block aligned"
   else begin
-    (* the chaining block is just the previous ciphertext block, read
-       straight from the input string — no rolling [prev] buffer *)
-    let out = Bytes.create n in
-    Aes.decrypt_str_into key cipher 0 out 0;
-    xor_str_into out 0 iv 0 16;
-    for i = 1 to (n / 16) - 1 do
-      Aes.decrypt_str_into key cipher (i * 16) out (i * 16);
-      xor_str_into out (i * 16) cipher ((i - 1) * 16) 16
-    done;
-    (* unpad without round-tripping through an intermediate string *)
-    let pad = Char.code (Bytes.get out (n - 1)) in
-    if pad = 0 || pad > 16 || pad > n then Error "cbc: bad padding"
-    else begin
-      let ok = ref true in
-      for i = n - pad to n - 1 do
-        if Char.code (Bytes.get out i) <> pad then ok := false
+    (* block [i] chains to ciphertext block [i - 1], read in place;
+       block 0 chains to the IV *)
+    let decrypt_block i dst doff =
+      let soff = off + (i * 16) in
+      if i = 0 then Aes.decrypt_xor_str_into key src soff iv 0 dst doff
+      else Aes.decrypt_xor_str_into key src soff src (soff - 16) dst doff
+    in
+    let last = (n / 16) - 1 in
+    let tail = Bytes.create 16 in
+    decrypt_block last tail 0;
+    let pad = Char.code (Bytes.get tail 15) in
+    let ok = ref (pad >= 1 && pad <= 16) in
+    if !ok then
+      for i = 16 - pad to 15 do
+        if Char.code (Bytes.get tail i) <> pad then ok := false
       done;
-      if !ok then Ok (Bytes.sub_string out 0 (n - pad))
-      else Error "cbc: bad padding"
+    if not !ok then Error "cbc: bad padding"
+    else begin
+      let out = Bytes.create (n - pad) in
+      for i = 0 to last - 1 do
+        decrypt_block i out (i * 16)
+      done;
+      Bytes.blit tail 0 out (last * 16) (16 - pad);
+      Ok (Bytes.unsafe_to_string out)
     end
   end
+
+let cbc_decrypt ~key ~iv cipher =
+  cbc_decrypt_sub ~key ~iv cipher 0 (String.length cipher)
 
 (* -- CTR ----------------------------------------------------------- *)
 

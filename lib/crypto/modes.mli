@@ -5,7 +5,17 @@ val cbc_encrypt : key:Aes.key -> iv:string -> string -> string
     rounded up to the next multiple of 16. IV must be 16 bytes. *)
 
 val cbc_decrypt : key:Aes.key -> iv:string -> string -> (string, string) result
-(** CBC decryption; fails on non-aligned input or invalid padding. *)
+(** CBC decryption; fails on non-aligned input or invalid padding.
+    [cbc_decrypt ~key ~iv c = cbc_decrypt_sub ~key ~iv c 0 (String.length c)]. *)
+
+val cbc_decrypt_sub :
+  key:Aes.key -> iv:string -> string -> int -> int -> (string, string) result
+(** [cbc_decrypt_sub ~key ~iv s off len] decrypts the ciphertext
+    [s.[off .. off+len-1]] in place, without copying it out, and
+    allocates only the unpadded plaintext. Same results and errors as
+    [cbc_decrypt ~key ~iv (String.sub s off len)].
+    @raise Invalid_argument if the range is not inside [s] or the IV is
+    not 16 bytes. *)
 
 val ctr_transform : key:Aes.key -> nonce:string -> string -> string
 (** CTR keystream XOR; encryption and decryption are the same

@@ -1,13 +1,23 @@
 (* SHA-256 (FIPS 180-4), implemented from scratch on 32-bit words.
-   OCaml's native int is 63-bit so we mask to 32 bits after every
-   addition; logical ops never overflow the mask.
+   OCaml's native int is 63-bit so we mask to 32 bits wherever a value
+   is rotated or stored; logical ops never overflow the mask.
 
-   Hot-path notes: full 64-byte blocks arriving through [update] are
-   compressed straight out of the source string (no staging blit into
-   the context buffer), and the message schedule lives in one shared
-   scratch array — the inner loop allocates nothing. [copy] clones a
-   context mid-stream, which is what lets {!Hmac} precompute the
-   ipad/opad midstates once per key. *)
+   Hot-path notes:
+   - full 64-byte blocks arriving through [update_sub] are compressed
+     straight out of the source string (no staging blit into the
+     context buffer), and words are loaded with one 32-bit big-endian
+     load each;
+   - each rotate-xor Sigma is computed on the word doubled into the
+     upper half of the int ([x lor (x lsl 32)]): a right shift of that
+     is a 32-bit rotate in its low bits, so a Sigma is three shifts and
+     two xors;
+   - the message schedule lives in a per-domain scratch array, fetched
+     once per [update_sub]/[finalize] call: the inner loop allocates
+     nothing, and contexts on different domains never share it;
+   - [finalize] pads inside the context's block buffer, so the only
+     allocation is the digest.
+   [copy] clones a context mid-stream, which is what lets {!Hmac}
+   precompute the ipad/opad midstates once per key. *)
 
 type ctx = {
   mutable h0 : int;
@@ -39,7 +49,6 @@ let k =
   |]
 
 let mask = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 let init () =
   {
@@ -58,15 +67,21 @@ let init () =
 
 let copy ctx = { ctx with buf = Bytes.copy ctx.buf }
 
-let w = Array.make 64 0 (* schedule scratch; module is not thread-safe *)
+(* message-schedule scratch, one per domain *)
+let schedule = Domain.DLS.new_key (fun () -> Array.make 64 0)
 
-(* Run the 64 rounds over a schedule already loaded into [w.(0..15)]. *)
-let compress_rounds ctx =
+(* Run the 64 rounds over a schedule already loaded into [w.(0..15)].
+   Only the low 32 bits of a sum depend on the low 32 bits of its terms,
+   so the Sigmas enter sums unmasked; a word is masked only where it is
+   stored, since it will be shifted right later. *)
+let compress_rounds ctx w =
   for t = 16 to 63 do
-    let wt15 = Array.unsafe_get w (t - 15) in
-    let wt2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr wt15 7 lxor rotr wt15 18 lxor (wt15 lsr 3) in
-    let s1 = rotr wt2 17 lxor rotr wt2 19 lxor (wt2 lsr 10) in
+    let x = Array.unsafe_get w (t - 15) in
+    let xx = x lor (x lsl 32) in
+    let y = Array.unsafe_get w (t - 2) in
+    let yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
       land mask)
@@ -80,22 +95,21 @@ let compress_rounds ctx =
   and g = ref ctx.h6
   and h = ref ctx.h7 in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 =
-      (!h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t) land mask
-    in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    h := !g;
-    g := !f;
-    f := !e;
+    let ev = !e and av = !a and bv = !b and fv = !f and gv = !g in
+    let ee = ev lor (ev lsl 32) and aa = av lor (av lsl 32) in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = gv lxor (ev land (fv lxor gv)) in
+    let t1 = !h + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = av land bv lor (!c land (av lor bv)) in
+    h := gv;
+    g := fv;
+    f := ev;
     e := (!d + t1) land mask;
     d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
+    c := bv;
+    b := av;
+    a := (t1 + s0 + maj) land mask
   done;
   ctx.h0 <- (ctx.h0 + !a) land mask;
   ctx.h1 <- (ctx.h1 + !b) land mask;
@@ -106,31 +120,26 @@ let compress_rounds ctx =
   ctx.h6 <- (ctx.h6 + !g) land mask;
   ctx.h7 <- (ctx.h7 + !h) land mask
 
-let compress ctx block off =
+(* Compress the block at [off] of the context buffer or of a source
+   string. Callers only pass offsets with 64 bytes behind them. *)
+let compress ctx w block off =
   for t = 0 to 15 do
-    let i = off + (t * 4) in
-    w.(t) <-
-      (Char.code (Bytes.unsafe_get block i) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (i + 3))
+    Array.unsafe_set w t
+      (Int32.to_int (Bytes.get_int32_be block (off + (t * 4))) land mask)
   done;
-  compress_rounds ctx
+  compress_rounds ctx w
 
-(* Same, reading the block straight from a string (the [feed] fast
-   path: full blocks never touch [ctx.buf]). *)
-let compress_str ctx s off =
+let compress_str ctx w s off =
   for t = 0 to 15 do
-    let i = off + (t * 4) in
-    w.(t) <-
-      (Char.code (String.unsafe_get s i) lsl 24)
-      lor (Char.code (String.unsafe_get s (i + 1)) lsl 16)
-      lor (Char.code (String.unsafe_get s (i + 2)) lsl 8)
-      lor Char.code (String.unsafe_get s (i + 3))
+    Array.unsafe_set w t
+      (Int32.to_int (String.get_int32_be s (off + (t * 4))) land mask)
   done;
-  compress_rounds ctx
+  compress_rounds ctx w
 
-let feed ctx s off len =
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.update_sub: range out of bounds";
+  let w = Domain.DLS.get schedule in
   ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* top up a partially filled block buffer first *)
@@ -141,12 +150,12 @@ let feed ctx s off len =
     pos := !pos + take;
     remaining := !remaining - take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress ctx w ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
   while !remaining >= 64 do
-    compress_str ctx s !pos;
+    compress_str ctx w s !pos;
     pos := !pos + 64;
     remaining := !remaining - 64
   done;
@@ -155,38 +164,33 @@ let feed ctx s off len =
     ctx.buf_len <- !remaining
   end
 
-let update ctx s = feed ctx s 0 (String.length s)
+let update ctx s = update_sub ctx s 0 (String.length s)
 
+(* Pad in place: 0x80, zeros up to byte 56 of a block (spilling into
+   one more block when fewer than 9 bytes are free), then the 64-bit
+   big-endian message bit length. *)
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  feed ctx (Bytes.unsafe_to_string pad) 0 (Bytes.length pad);
-  assert (ctx.buf_len = 0);
+  let w = Domain.DLS.get schedule in
+  let buf = ctx.buf and used = ctx.buf_len in
+  Bytes.set buf used '\x80';
+  if used >= 56 then begin
+    Bytes.fill buf (used + 1) (63 - used) '\000';
+    compress ctx w buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (used + 1) (55 - used) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx w buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
-  let put i v =
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff))
-  in
-  put 0 ctx.h0;
-  put 1 ctx.h1;
-  put 2 ctx.h2;
-  put 3 ctx.h3;
-  put 4 ctx.h4;
-  put 5 ctx.h5;
-  put 6 ctx.h6;
-  put 7 ctx.h7;
+  Bytes.set_int32_be out 0 (Int32.of_int ctx.h0);
+  Bytes.set_int32_be out 4 (Int32.of_int ctx.h1);
+  Bytes.set_int32_be out 8 (Int32.of_int ctx.h2);
+  Bytes.set_int32_be out 12 (Int32.of_int ctx.h3);
+  Bytes.set_int32_be out 16 (Int32.of_int ctx.h4);
+  Bytes.set_int32_be out 20 (Int32.of_int ctx.h5);
+  Bytes.set_int32_be out 24 (Int32.of_int ctx.h6);
+  Bytes.set_int32_be out 28 (Int32.of_int ctx.h7);
   Bytes.unsafe_to_string out
 
 let digest s =

@@ -204,13 +204,14 @@ let persist_leaf_tag t index =
   S.Block_device.write_page t.device meta_page (Bytes.to_string page);
   t.stats.device_writes <- t.stats.device_writes + 1
 
-(* MAC input: index | IV | ciphertext, fed to the prekeyed HMAC as
-   parts so the concatenation is never materialized. *)
-let mac_payload_parts index iv ciphertext =
-  [ Printf.sprintf "%08d" index; iv; ciphertext ]
-
-let page_mac t index iv ciphertext =
-  C.Hmac.mac_pre_list t.page_mac_prekey (mac_payload_parts index iv ciphertext)
+(* MAC input: index | IV | ciphertext, read in place from the page
+   image (IV at 0, ciphertext at [header_len]) as slices of the
+   prekeyed HMAC, so neither the concatenation nor the ciphertext is
+   ever copied out. *)
+let page_mac t index page clen =
+  let slot = Printf.sprintf "%08d" index in
+  C.Hmac.mac_pre_slices t.page_mac_prekey
+    [ (slot, 0, String.length slot); (page, 0, 16); (page, header_len, clen) ]
 
 let page_mode t = t.page_mode
 
@@ -239,13 +240,21 @@ let encrypt_payload t index ~iv plain =
   | Cbc -> C.Modes.cbc_encrypt ~key:(page_key t index) ~iv plain
   | Ctr -> C.Modes.ctr_transform ~key:(page_key t index) ~nonce:iv plain
 
-let decrypt_payload t index ~iv ciphertext =
+(* Decrypt the ciphertext of a verified page image in place. *)
+let decrypt_page t index page clen =
+  let iv = String.sub page 0 16 in
   match t.page_mode with
   | Cbc -> (
-      match C.Modes.cbc_decrypt ~key:(page_key t index) ~iv ciphertext with
+      match
+        C.Modes.cbc_decrypt_sub ~key:(page_key t index) ~iv page header_len clen
+      with
       | Ok plain -> Ok plain
       | Error msg -> Error (Corrupt_page (index, msg)))
-  | Ctr -> Ok (C.Modes.ctr_transform ~key:(page_key t index) ~nonce:iv ciphertext)
+  | Ctr ->
+      let plain = Bytes.create clen in
+      C.Modes.ctr_transform_into ~key:(page_key t index) ~nonce:iv page
+        header_len plain 0 clen;
+      Ok (Bytes.unsafe_to_string plain)
 
 (* Encrypt and store [plain] (<= capacity bytes) at data page [index]. *)
 let write_page t index plain =
@@ -262,16 +271,18 @@ let write_page t index plain =
   let ciphertext = encrypt_payload t index ~iv plain in
   t.stats.page_encrypts <- t.stats.page_encrypts + 1;
   Obs.count ~scope:obs_scope "page_encrypts";
-  let mac = page_mac t index iv ciphertext in
-  t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
-  Obs.count ~scope:obs_scope "hmac_checks";
   let clen = String.length ciphertext in
   let page = Bytes.make S.Block_device.page_size '\000' in
   Bytes.blit_string iv 0 page 0 16;
-  Bytes.blit_string mac 0 page 16 32;
   Bytes.set page 48 (Char.chr (clen lsr 8));
   Bytes.set page 49 (Char.chr (clen land 0xff));
   Bytes.blit_string ciphertext 0 page header_len clen;
+  (* the MAC does not cover its own field, so it is taken over the
+     image before that field is filled in *)
+  let mac = page_mac t index (Bytes.unsafe_to_string page) clen in
+  t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
+  Obs.count ~scope:obs_scope "hmac_checks";
+  Bytes.blit_string mac 0 page 16 32;
   S.Block_device.write_page t.device index (Bytes.to_string page);
   t.stats.device_writes <- t.stats.device_writes + 1;
   C.Merkle.reset_hash_ops t.merkle;
@@ -280,45 +291,45 @@ let write_page t index plain =
   persist_leaf_tag t index;
   anchor_root t
 
-(* One read-decrypt-verify attempt on data page [index]. *)
+(* Ciphertext length of a raw page image, if it fits the page. *)
+let ciphertext_len raw =
+  let clen = (Char.code raw.[48] lsl 8) lor Char.code raw.[49] in
+  if clen > S.Block_device.page_size - header_len then None else Some clen
+
+let corrupt_length index =
+  Error (Corrupt_page (index, "ciphertext length field out of range"))
+
+(* One read-decrypt-verify attempt on data page [index]. The MAC and
+   the decryption read the ciphertext in place from the raw page. *)
 let read_page_once t index =
   Obs.count ~scope:obs_scope "pages_read";
   let raw = S.Block_device.read_page t.device index in
   t.stats.device_reads <- t.stats.device_reads + 1;
-  let iv = String.sub raw 0 16 in
-  let mac = String.sub raw 16 32 in
-  let clen = (Char.code raw.[48] lsl 8) lor Char.code raw.[49] in
-  if clen > S.Block_device.page_size - header_len then
-    Error (Corrupt_page (index, "ciphertext length field out of range"))
-  else begin
-    let ciphertext = String.sub raw header_len clen in
-    (* 1. page integrity: MAC over index|IV|ciphertext *)
-    t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
-    Obs.count ~scope:obs_scope "hmac_checks";
-    if not (C.Constant_time.equal (page_mac t index iv ciphertext) mac) then
-      Error (Tampered_page index)
-    else begin
-      (* 2. freshness: Merkle path from this leaf must reach the
-         anchored root *)
-      let proof = C.Merkle.prove t.merkle index in
-      let ok, hashes =
-        C.Merkle.verify
-          ~key:(Keyslot.page_mac_key t.keys)
-          ~root:(C.Merkle.root t.merkle) ~leaf_tag:mac proof
-      in
-      t.stats.merkle_hashes <- t.stats.merkle_hashes + hashes;
-      Obs.count ~scope:obs_scope "merkle_verifies";
-      if not ok then Error (Tampered_page index)
-      else if not (C.Constant_time.equal (current_root_mac t) t.anchored_root)
-      then Error Stale_root
+  match ciphertext_len raw with
+  | None -> corrupt_length index
+  | Some clen ->
+      let mac = String.sub raw 16 32 in
+      (* 1. page integrity: MAC over index|IV|ciphertext *)
+      t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
+      Obs.count ~scope:obs_scope "hmac_checks";
+      if not (C.Constant_time.equal (page_mac t index raw clen) mac) then
+        Error (Tampered_page index)
       else begin
-        (* 3. decrypt *)
-        t.stats.page_decrypts <- t.stats.page_decrypts + 1;
-        Obs.count ~scope:obs_scope "page_decrypts";
-        decrypt_payload t index ~iv ciphertext
+        (* 2. freshness: Merkle path from this leaf must reach the
+           anchored root *)
+        let ok, hashes = C.Merkle.verify_path t.merkle index ~leaf_tag:mac in
+        t.stats.merkle_hashes <- t.stats.merkle_hashes + hashes;
+        Obs.count ~scope:obs_scope "merkle_verifies";
+        if not ok then Error (Tampered_page index)
+        else if not (C.Constant_time.equal (current_root_mac t) t.anchored_root)
+        then Error Stale_root
+        else begin
+          (* 3. decrypt *)
+          t.stats.page_decrypts <- t.stats.page_decrypts + 1;
+          Obs.count ~scope:obs_scope "page_decrypts";
+          decrypt_page t index raw clen
+        end
       end
-    end
-  end
 
 (* Read with recovery: a MAC/Merkle mismatch or corrupt page is
    re-read and re-verified up to [read_retry_budget] times (transient
@@ -400,20 +411,16 @@ let read_pages t ?(lanes = 1) indices =
         while !p < n do
           let slot = !p in
           let index = idx.(slot) and page = raw.(slot) in
-          let iv = String.sub page 0 16 in
-          let mac = String.sub page 16 32 in
-          let clen = (Char.code page.[48] lsl 8) lor Char.code page.[49] in
           out.(slot) <-
-            (if clen > S.Block_device.page_size - header_len then
-               Error (Corrupt_page (index, "ciphertext length field out of range"))
-             else begin
-               let ciphertext = String.sub page header_len clen in
-               if not (C.Constant_time.equal (page_mac t index iv ciphertext) mac)
-               then Error (Tampered_page index)
-               else if not (C.Merkle.verify_leaf bv index ~leaf_tag:mac) then
-                 Error (Tampered_page index)
-               else decrypt_payload t index ~iv ciphertext
-             end);
+            (match ciphertext_len page with
+            | None -> corrupt_length index
+            | Some clen ->
+                let mac = String.sub page 16 32 in
+                if not (C.Constant_time.equal (page_mac t index page clen) mac)
+                then Error (Tampered_page index)
+                else if not (C.Merkle.verify_leaf bv index ~leaf_tag:mac) then
+                  Error (Tampered_page index)
+                else decrypt_page t index page clen);
           p := !p + lanes
         done;
         lane_hashes.(lane) <- C.Merkle.batch_hash_ops bv

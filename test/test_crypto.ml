@@ -123,6 +123,33 @@ let test_sha256_copy_independent () =
     (Sha256.digest (prefix ^ "right fork"))
     (Sha256.finalize snap)
 
+(* Two domains hashing at once must each get the serial digests: the
+   message schedule is per-domain scratch, so concurrent contexts never
+   overwrite each other's words mid-block. *)
+let test_sha256_two_domains () =
+  let messages salt =
+    List.init 64 (fun i ->
+        String.init (100 + (i * 61 mod 900)) (fun j ->
+            Char.chr ((salt + (i * 31) + (j * 7)) land 0xff)))
+  in
+  let a = messages 3 and b = messages 101 in
+  let serial_a = List.map Sha256.digest a
+  and serial_b = List.map Sha256.digest b in
+  let hash_rounds msgs = List.init 20 (fun _ -> List.map Sha256.digest msgs) in
+  let da = Domain.spawn (fun () -> hash_rounds a) in
+  let db = Domain.spawn (fun () -> hash_rounds b) in
+  let got_a = Domain.join da and got_b = Domain.join db in
+  let wrong expected got =
+    List.fold_left
+      (fun n round ->
+        List.fold_left2
+          (fun n e r -> if String.equal e r then n else n + 1)
+          n expected round)
+      0 got
+  in
+  Alcotest.(check int) "domain A digests wrong" 0 (wrong serial_a got_a);
+  Alcotest.(check int) "domain B digests wrong" 0 (wrong serial_b got_b)
+
 (* -- HKDF (RFC 5869) ------------------------------------------------- *)
 
 let test_hkdf_vectors () =
@@ -552,6 +579,106 @@ let qcheck_tests =
             let proof = Merkle.prove t i in
             fst (Merkle.verify ~key:"prop" ~root ~leaf_tag:(Merkle.leaf t i) proof))
           updates);
+    (* the in-place entry points against the copy-based forms *)
+    Test.make ~name:"sha256 update_sub in chunks at any offset = digest"
+      ~count:200
+      (triple (string_of_size Gen.(0 -- 300)) (int_bound 130)
+         (list_of_size Gen.(0 -- 12) (int_bound 90)))
+      (fun (msg, lead, cuts) ->
+        (* the message sits at [lead] inside a larger string, so its
+           blocks straddle the host string's 64-byte boundaries *)
+        let host = String.make lead 'x' ^ msg ^ "trailing" in
+        let ctx = Sha256.init () in
+        let n = String.length msg in
+        let rec feed pos = function
+          | [] -> Sha256.update_sub ctx host (lead + pos) (n - pos)
+          | c :: rest ->
+              let len = min c (n - pos) in
+              Sha256.update_sub ctx host (lead + pos) len;
+              feed (pos + len) rest
+        in
+        feed 0 cuts;
+        Sha256.finalize ctx = Sha256.digest msg);
+    Test.make ~name:"hmac mac_pre_slices = mac_pre_list of the copies"
+      ~count:200
+      (list_of_size Gen.(0 -- 5)
+         (triple (string_of_size Gen.(0 -- 150)) small_nat small_nat))
+      (fun parts ->
+        let pk = Hmac.precompute ~key:"slice-key" in
+        let slices =
+          List.map
+            (fun (s, a, b) ->
+              let n = String.length s in
+              let off = if n = 0 then 0 else a mod (n + 1) in
+              (s, off, if n = off then 0 else b mod (n - off + 1)))
+            parts
+        in
+        Hmac.mac_pre_slices pk slices
+        = Hmac.mac_pre_list pk
+            (List.map (fun (s, off, len) -> String.sub s off len) slices));
+    Test.make ~name:"cbc_decrypt_sub = cbc_decrypt of the copy, errors too"
+      ~count:200
+      (quad (string_of_size Gen.(0 -- 200)) (int_bound 40) (int_bound 2)
+         small_nat)
+      (fun (plain, lead, damage, k) ->
+        let key = Aes.expand_key (String.make 16 'k') in
+        let iv = String.make 16 'v' in
+        let ct = Modes.cbc_encrypt ~key ~iv plain in
+        let n = String.length ct in
+        let ct =
+          match damage with
+          | 0 -> ct (* intact *)
+          | 1 -> String.sub ct 0 (k mod n) (* misaligned or empty *)
+          | _ ->
+              (* a flipped byte in the last two blocks: usually bad
+                 padding, sometimes a different valid padding *)
+              let at = n - 1 - (k mod min n 32) in
+              String.mapi
+                (fun i c -> if i = at then Char.chr (Char.code c lxor 0x5a) else c)
+                ct
+        in
+        let host = String.make lead 'p' ^ ct ^ String.make 7 's' in
+        Modes.cbc_decrypt_sub ~key ~iv host lead (String.length ct)
+        = Modes.cbc_decrypt ~key ~iv (String.sub host lead (String.length ct)));
+    Test.make ~name:"merkle verify_path = prove + verify, count and tampering"
+      ~count:100
+      (triple (int_range 1 40)
+         (list_of_size Gen.(0 -- 20) (pair small_nat small_string))
+         small_nat)
+      (fun (leaves, updates, pick) ->
+        let key = "path-key" in
+        let t = Merkle.create ~key ~leaves in
+        List.iter (fun (i, data) -> Merkle.update t (i mod leaves) data) updates;
+        let i = pick mod leaves in
+        let proof = Merkle.prove t i in
+        let reference tag =
+          Merkle.verify ~key ~root:(Merkle.root t) ~leaf_tag:tag proof
+        in
+        let agree tag = Merkle.verify_path t i ~leaf_tag:tag = reference tag in
+        let tampered = Merkle.leaf_tag_of_data t "tampered" in
+        let displaced = Merkle.leaf t ((i + 1) mod leaves) in
+        let depth = Merkle.depth t in
+        (* a proof with one flipped sibling must fail the shared climb *)
+        let bad_sibling =
+          match proof.Merkle.siblings with
+          | [] -> true
+          | s :: rest ->
+              let flipped =
+                String.mapi
+                  (fun j c -> if j = 0 then Char.chr (Char.code c lxor 1) else c)
+                  s
+              in
+              Merkle.verify ~key ~root:(Merkle.root t)
+                ~leaf_tag:(Merkle.leaf t i)
+                { proof with Merkle.siblings = flipped :: rest }
+              = (false, depth)
+        in
+        agree (Merkle.leaf t i) && agree tampered && agree displaced
+        && Merkle.verify_path t i ~leaf_tag:(Merkle.leaf t i) = (true, depth)
+        && fst (Merkle.verify_path t i ~leaf_tag:tampered) = false
+        && (leaves = 1 || Merkle.leaf t i = displaced
+           || fst (Merkle.verify_path t i ~leaf_tag:displaced) = false)
+        && bad_sibling);
     Test.make ~name:"constant_time.equal = String.equal" ~count:200
       (pair small_string small_string) (fun (a, b) ->
         Constant_time.equal a b = String.equal a b);
@@ -566,6 +693,7 @@ let suite =
     ("hmac verify", `Quick, test_hmac_verify);
     ("hmac prekey fast path", `Quick, test_hmac_prekey);
     ("sha256 copy independence", `Quick, test_sha256_copy_independent);
+    ("sha256 two domains", `Quick, test_sha256_two_domains);
     ("hkdf vectors", `Quick, test_hkdf_vectors);
     ("hkdf errors", `Quick, test_hkdf_errors);
     ("aes fips-197", `Quick, test_aes_fips);

@@ -367,6 +367,95 @@ let with_obs f =
       Obs.reset ())
     f
 
+(* Every verified read does the same work, whatever the kernels
+   underneath: one device read, one page MAC, the full Merkle path
+   ([depth] HMACs) and one decrypt — and nothing else. *)
+let test_read_work_unchanged () =
+  List.iter
+    (fun (data_pages, page_mode) ->
+      let _, _, store, _ = setup ~data_pages ~page_mode () in
+      for i = 0 to data_pages - 1 do
+        write_ok store i
+          (String.make (i * 97 mod Sec.Secure_store.capacity) 'r')
+      done;
+      let depth = C.Merkle.depth (C.Merkle.create ~key:"k" ~leaves:data_pages) in
+      for i = 0 to data_pages - 1 do
+        Sec.Secure_store.reset_stats store;
+        ignore (read_ok store i);
+        let s = Sec.Secure_store.stats store in
+        let check what expected actual =
+          Alcotest.(check int) (Printf.sprintf "page %d: %s" i what) expected actual
+        in
+        check "device reads" 1 s.Sec.Secure_store.device_reads;
+        check "mac checks" 1 s.Sec.Secure_store.page_mac_checks;
+        check "merkle hashes" depth s.Sec.Secure_store.merkle_hashes;
+        check "decrypts" 1 s.Sec.Secure_store.page_decrypts;
+        check "encrypts" 0 s.Sec.Secure_store.page_encrypts;
+        check "device writes" 0 s.Sec.Secure_store.device_writes;
+        check "rpmb accesses" 0 s.Sec.Secure_store.rpmb_accesses
+      done)
+    Sec.Secure_store.[ (8, Cbc); (37, Cbc); (37, Ctr) ]
+
+(* A flipped byte anywhere in the IV, MAC, length field or ciphertext
+   is a typed verdict on that page, never an exception or a read that
+   succeeds; flipping it back restores the page. *)
+let test_byte_flip_typed_error () =
+  List.iter
+    (fun page_mode ->
+      let device, _, store, _ = setup ~page_mode () in
+      let data = "a record that spans a few cipher blocks" in
+      write_ok store 4 data;
+      let raw = S.Block_device.read_page device 4 in
+      let clen = (Char.code raw.[48] lsl 8) lor Char.code raw.[49] in
+      for offset = 0 to 50 + clen - 1 do
+        S.Block_device.tamper device ~page:4 ~offset;
+        (match Sec.Secure_store.read_page store 4 with
+        | Error
+            ( Sec.Secure_store.Tampered_page 4
+            | Sec.Secure_store.Corrupt_page (4, _) ) ->
+            ()
+        | Ok _ -> Alcotest.failf "flip at byte %d read back successfully" offset
+        | Error e ->
+            Alcotest.failf "flip at byte %d: unexpected %a" offset
+              Sec.Secure_store.pp_error e
+        | exception e ->
+            Alcotest.failf "flip at byte %d raised %s" offset
+              (Printexc.to_string e));
+        S.Block_device.tamper device ~page:4 ~offset;
+        Alcotest.(check string) "restored page reads back" data (read_ok store 4)
+      done)
+    [ Sec.Secure_store.Cbc; Sec.Secure_store.Ctr ]
+
+(* Batched reads on two domains: every page verifies in the batch, so
+   none falls back to a serial re-read (a race on shared hash scratch
+   would show up as spurious MAC failures and extra device reads). *)
+let test_read_pages_two_lanes () =
+  let data_pages = 32 in
+  let _, _, store, _ = setup ~data_pages () in
+  for i = 0 to data_pages - 1 do
+    write_ok store i
+      (String.make Sec.Secure_store.capacity (Char.chr (65 + (i mod 26))))
+  done;
+  let idx = List.init data_pages Fun.id in
+  let expect = List.map (read_ok store) idx in
+  let batches = 6 in
+  Sec.Secure_store.reset_stats store;
+  with_obs (fun () ->
+      for _ = 1 to batches do
+        match Sec.Secure_store.read_pages store ~lanes:2 idx with
+        | Ok got -> Alcotest.(check (list string)) "batch = singles" expect got
+        | Error e -> Alcotest.failf "read_pages: %a" Sec.Secure_store.pp_error e
+      done;
+      let rereads =
+        Metrics.counter_value (Obs.metrics ()) ~scope:"securestore" "page_rereads"
+      in
+      Alcotest.(check int) "no page rereads" 0 rereads);
+  let s = Sec.Secure_store.stats store in
+  let n = batches * data_pages in
+  Alcotest.(check int) "one device read per page" n s.Sec.Secure_store.device_reads;
+  Alcotest.(check int) "one mac check per page" n s.Sec.Secure_store.page_mac_checks;
+  Alcotest.(check int) "one decrypt per page" n s.Sec.Secure_store.page_decrypts
+
 (* The securestore-scope metrics must match the analytically known
    counts: reading back an N-page store is exactly N page reads, N MAC
    checks, N Merkle path verifications and N decryptions. *)
@@ -488,6 +577,9 @@ let suite =
     ("ctr tamper detected", `Quick, test_ctr_tamper_detected);
     ("ctr reopen after reboot", `Quick, test_ctr_reopen);
     ("read_pages matches read_page", `Quick, test_read_pages_matches_read_page);
+    ("read work unchanged", `Quick, test_read_work_unchanged);
+    ("byte flip is a typed error", `Quick, test_byte_flip_typed_error);
+    ("read_pages on two lanes", `Quick, test_read_pages_two_lanes);
     ("obs counters match analytic counts", `Quick, test_obs_counters_match_analytic);
     ("index reduces decrypts", `Quick, test_index_reduces_decrypts);
   ]
