@@ -1132,12 +1132,8 @@ let microbench _scale =
   let miss_pool = Sql.Bufpool.create ~frames:1 (Sql.Pager.secure store) in
   let miss_pager = Sql.Bufpool.pager miss_pool in
   let flip = ref false in
-  (* CTR page kernels: a 32-page batch so the 4-lane kernel amortizes
-     its domain spawns across the batch the way the secure store's
-     read_pages does. Each lane transforms a block-aligned quarter of
-     every page (256 blocks -> four 64-block chunks) via block_offset,
-     producing exactly the bytes the single-lane transform would.
-     Reported ns/op are per page, comparable to the CBC page kernels. *)
+  (* CTR page kernel: a 32-page batch, reported per page so it is
+     comparable to the CBC page kernels. *)
   let ctr_batch = 32 in
   let ctr_nonces = Array.init ctr_batch (fun _ -> C.Drbg.generate drbg 16) in
   let ctr_cts =
@@ -1146,9 +1142,7 @@ let microbench _scale =
       ctr_nonces
   in
   let ctr_dsts = Array.init ctr_batch (fun _ -> Bytes.create 4096) in
-  (* a second store in CTR page mode for the batched miss-path kernels:
-     read_pages amortizes the root check and Merkle ancestors over the
-     whole batch and fans the MAC/decrypt work out over the lanes *)
+  (* a second store in CTR page mode for the one-window batched read *)
   let ctr_store =
     let device =
       S.Block_device.create
@@ -1169,13 +1163,17 @@ let microbench _scale =
     | Error e ->
         failwith (Fmt.str "ctr store write: %a" Sec.Secure_store.pp_error e)
   done;
-  let all_pages = List.init data_pages Fun.id in
-  let read_all_ctr ~lanes () =
-    match Sec.Secure_store.read_pages ctr_store ~lanes all_pages with
-    | Ok _ -> ()
-    | Error e ->
-        failwith (Fmt.str "ctr batch read: %a" Sec.Secure_store.pp_error e)
+  (* batched scans through the secure pager: one window of the CTR
+     store runs inline on the caller; both windows of the CBC store
+     verify the second window on the helper domain (when the host has
+     two cores) while the first is delivered *)
+  let scan pager pages =
+    Sql.Pager.scan pager pages ~f:(fun _ p -> ignore (Sys.opaque_identity p))
   in
+  let ctr_window = List.init Sql.Pager.window Fun.id in
+  let ctr_pager = Sql.Pager.secure ctr_store in
+  let scan_pages = List.init data_pages Fun.id in
+  let scan_pager = Sql.Pager.secure store in
   (* WAL kernels: wal_append is the in-memory hot path (record encode,
      CTR encrypt, chain HMAC, frame build); group_commit_flush
      persists an 8-record batch and bumps the RPMB anchor once — the
@@ -1296,15 +1294,6 @@ let microbench _scale =
            C.Modes.ctr_transform_into ~key:aes_key ~nonce:ctr_nonces.(p)
              ctr_cts.(p) 0 ctr_dsts.(p) 0 4096
          done);
-      ("ctr_page_decrypt_4lane", ctr_batch,
-       fun () ->
-         C.Lanes.run ~lanes:4 (fun lane ->
-             let off = lane * 1024 in
-             for p = 0 to ctr_batch - 1 do
-               C.Modes.ctr_transform_into ~key:aes_key
-                 ~nonce:ctr_nonces.(p) ~block_offset:(lane * 64)
-                 ctr_cts.(p) off ctr_dsts.(p) off 1024
-             done));
       ("sha256-4KiB", 1, fun () -> ignore (C.Sha256.digest page));
       ("hmac-sha256-4KiB", 1,
        fun () -> ignore (C.Hmac.mac ~key:hmac_key page));
@@ -1316,10 +1305,10 @@ let microbench _scale =
          ignore (C.Merkle.verify ~key:hmac_key ~root ~leaf_tag:leaf proof));
       ("securestore-read-page", 1,
        fun () -> ignore (Sec.Secure_store.read_page store 1));
-      ("securestore-read-pages-ctr-1lane", data_pages,
-       read_all_ctr ~lanes:1);
-      ("securestore-read-pages-ctr-4lane", data_pages,
-       read_all_ctr ~lanes:4);
+      ("securestore-read-pages-ctr-1lane", Sql.Pager.window,
+       fun () -> scan ctr_pager ctr_window);
+      ("securestore-scan-window", data_pages,
+       fun () -> scan scan_pager scan_pages);
       ("row_scan_filter", 1,
        fun () ->
          Sql.Database.set_exec_mode scan_db Sql.Exec.Row_at_a_time;
@@ -1442,23 +1431,20 @@ let microbench _scale =
   let direct = List.assoc "securestore-read-page" results in
   if hit > 0.0 then
     Fmt.pr "%-34s %14.1fx@." "pool-hit speedup vs direct read" (direct /. hit);
-  (* derived miss-path figures: per-page batched CTR reads vs the
-     singleton CBC read, the CTR lane scaling, and the vectorized scan
-     vs the row volcano — plus the core count the lanes actually had,
-     so the numbers are interpretable on any machine *)
+  (* derived miss-path figures: per-page batched reads (one window
+     inline, two windows with the helper) vs the singleton CBC read,
+     and the vectorized scan vs the row volcano — plus the core count
+     the helper had, so the numbers are interpretable on any machine *)
   let derived =
     let single = direct in
     let ctr1 = List.assoc "securestore-read-pages-ctr-1lane" results in
-    let ctr4 = List.assoc "securestore-read-pages-ctr-4lane" results in
-    let dec1 = List.assoc "ctr_page_decrypt_1lane" results in
-    let dec4 = List.assoc "ctr_page_decrypt_4lane" results in
+    let scan2 = List.assoc "securestore-scan-window" results in
     let row = List.assoc "row_scan_filter" results in
     let batch = List.assoc "batch_scan_filter" results in
     [
       ("cores-available", float_of_int (C.Lanes.available ()));
       ("miss-path-speedup-ctr-batch-1lane", single /. ctr1);
-      ("miss-path-speedup-ctr-batch-4lane", single /. ctr4);
-      ("ctr-decrypt-lane-scaling-4lane", dec1 /. dec4);
+      ("miss-path-speedup-scan-window", single /. scan2);
       ("scan-filter-speedup-batch-vs-row", row /. batch);
     ]
   in

@@ -196,24 +196,26 @@ let note_recovered t =
     | None -> ()
   end
 
-let note_recovered_since t mark =
+(* Incidents [lo, hi) in recording order: the newest [n - hi] are
+   skipped, the next [hi - lo] taken. *)
+let note_recovered_between t lo hi =
   if enabled t then begin
-    let healed =
-      List.fold_left
-        (fun n i ->
-          if i.inc_recovered then n
-          else begin
-            i.inc_recovered <- true;
-            n + 1
-          end)
-        0
-        (incidents_since t mark)
+    let rec heal k n = function
+      | [] -> n
+      | _ when k < lo -> n
+      | i :: rest when k >= hi || i.inc_recovered -> heal (k - 1) n rest
+      | i :: rest ->
+          i.inc_recovered <- true;
+          heal (k - 1) (n + 1) rest
     in
+    let healed = heal (t.n_incidents - 1) 0 t.incidents in
     if healed > 0 then begin
       t.st.recovered <- t.st.recovered + healed;
       Obs.count ~scope:"recovery" ~n:healed "recovered"
     end
   end
+
+let note_recovered_since t mark = note_recovered_between t mark t.n_incidents
 
 let note_rejected t =
   if enabled t then begin

@@ -119,6 +119,11 @@ val note_recovered_since : t -> int -> unit
     mark as recovered — the precise form for recovery loops that
     overcome several fired faults before finally succeeding. *)
 
+val note_recovered_between : t -> int -> int -> unit
+(** [note_recovered_between t lo hi] marks the incidents recorded
+    between marks [lo] and [hi] as recovered — for a batched read,
+    whose pages' first attempts were all made before any re-read. *)
+
 val note_rejected : t -> unit
 
 val backoff_ns : base_ns:float -> attempt:int -> float

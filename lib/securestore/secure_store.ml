@@ -71,9 +71,7 @@ type key_mode = Single_key | Per_page_keys
 (* Page cipher mode. CBC is the paper's SQLCipher-style default; CTR
    keeps the MAC-then-anchor layout bit-for-bit identical (the nonce
    simply lives in the IV slot and is MACed the same way) but makes
-   each 16-byte block of a page independently decryptable, which is
-   what allows a multi-lane decrypt to split one page — or a batch of
-   pages — across cores. *)
+   each 16-byte block of a page independently decryptable. *)
 type page_mode = Cbc | Ctr
 
 type t = {
@@ -108,6 +106,10 @@ type t = {
       (* fault plan shared with the device/RPMB; gates the recovery
          paths (re-read, counter re-sync) so they stay inert — and
          genuine attacks stay hard failures — without a plan *)
+  mutable batches_in_flight : int;
+      (* batched reads fetched and not yet released: their pages may be
+         verifying on another domain, reading the tree, so no write may
+         move it *)
 }
 
 let set_faults t plan = t.faults <- plan
@@ -262,6 +264,8 @@ let write_page t index plain =
     invalid_arg "Secure_store.write_page: index out of range";
   if String.length plain > capacity then
     invalid_arg "Secure_store.write_page: payload exceeds page capacity";
+  if t.batches_in_flight > 0 then
+    invalid_arg "Secure_store.write_page: a batched read is in flight";
   Obs.count ~scope:obs_scope "pages_written";
   let iv =
     match t.page_mode with
@@ -299,160 +303,197 @@ let ciphertext_len raw =
 let corrupt_length index =
   Error (Corrupt_page (index, "ciphertext length field out of range"))
 
-(* One read-decrypt-verify attempt on data page [index]. The MAC and
-   the decryption read the ciphertext in place from the raw page. *)
-let read_page_once t index =
+(* -- verified reads ---------------------------------------------------
+
+   A verified read runs in three phases, so that the middle one can run
+   on any domain:
+
+     1. fetch (caller, in page order): the device read with its fault
+        hooks, its stats and Obs counts, the per-page key prefetch and
+        the root MAC memo;
+     2. verify (pure): the page MAC, the full Merkle path, the
+        root-vs-anchor compare and the decrypt. It reads only the
+        fetched image and state that no one mutates while a batch is
+        in flight (the tree, the keys, the anchored root), and returns
+        what it did as a [verdict];
+     3. fold (caller, in page order): the stats and Obs counts of the
+        verdict, then the fault-plan re-reads.
+
+   [read_page] runs the three back to back; {!Batch} runs phase 1 over
+   a window of pages, lets phase 2 run on a helper domain, and folds in
+   page order. Either way each page costs exactly one device read, one
+   MAC, [depth] Merkle HMACs and one decrypt. *)
+
+type verdict = {
+  result : (string, error) result;
+  mac_checked : bool;
+  path_hashes : int option; (* HMACs of the Merkle climb, if it ran *)
+  decrypted : bool;
+}
+
+(* Phase 1 for one in-range page: its raw device image. *)
+let fetch t index =
   Obs.count ~scope:obs_scope "pages_read";
   let raw = S.Block_device.read_page t.device index in
   t.stats.device_reads <- t.stats.device_reads + 1;
+  (* per-page keys are a lazily filled cache: fill it here so that
+     phase 2 only reads it *)
+  ignore (page_key t index);
+  raw
+
+(* Phase 2: the MAC and the decryption read the ciphertext in place
+   from the raw page. [root_mac] is the current root's MAC, computed in
+   phase 1. *)
+let verify_raw t ~root_mac index raw =
   match ciphertext_len raw with
-  | None -> corrupt_length index
+  | None ->
+      {
+        result = corrupt_length index;
+        mac_checked = false;
+        path_hashes = None;
+        decrypted = false;
+      }
   | Some clen ->
       let mac = String.sub raw 16 32 in
       (* 1. page integrity: MAC over index|IV|ciphertext *)
-      t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
-      Obs.count ~scope:obs_scope "hmac_checks";
       if not (C.Constant_time.equal (page_mac t index raw clen) mac) then
-        Error (Tampered_page index)
+        {
+          result = Error (Tampered_page index);
+          mac_checked = true;
+          path_hashes = None;
+          decrypted = false;
+        }
       else begin
-        (* 2. freshness: Merkle path from this leaf must reach the
-           anchored root *)
+        (* 2. freshness: the Merkle path from this leaf must reach the
+           current root, and that root must be the anchored one *)
         let ok, hashes = C.Merkle.verify_path t.merkle index ~leaf_tag:mac in
-        t.stats.merkle_hashes <- t.stats.merkle_hashes + hashes;
-        Obs.count ~scope:obs_scope "merkle_verifies";
-        if not ok then Error (Tampered_page index)
-        else if not (C.Constant_time.equal (current_root_mac t) t.anchored_root)
-        then Error Stale_root
-        else begin
-          (* 3. decrypt *)
-          t.stats.page_decrypts <- t.stats.page_decrypts + 1;
-          Obs.count ~scope:obs_scope "page_decrypts";
-          decrypt_page t index raw clen
-        end
+        let checked result decrypted =
+          { result; mac_checked = true; path_hashes = Some hashes; decrypted }
+        in
+        if not ok then checked (Error (Tampered_page index)) false
+        else if not (C.Constant_time.equal root_mac t.anchored_root) then
+          checked (Error Stale_root) false
+        else (* 3. decrypt *)
+          checked (decrypt_page t index raw clen) true
       end
 
-(* Read with recovery: a MAC/Merkle mismatch or corrupt page is
-   re-read and re-verified up to [read_retry_budget] times (transient
-   media faults heal; genuine tampering and bit rot keep failing and
-   surface as the typed error). Only active under a fault plan, so
-   attack-path semantics without one are exactly one attempt. *)
-let read_page t index =
-  if index < 0 || index >= t.data_pages then
-    invalid_arg "Secure_store.read_page: index out of range";
-  let mark = Fault.incident_count t.faults in
-  let rec attempt n =
-    match read_page_once t index with
+(* Phase 3: account for what phase 2 did. *)
+let fold t v =
+  if v.mac_checked then begin
+    t.stats.page_mac_checks <- t.stats.page_mac_checks + 1;
+    Obs.count ~scope:obs_scope "hmac_checks"
+  end;
+  Option.iter
+    (fun hashes ->
+      t.stats.merkle_hashes <- t.stats.merkle_hashes + hashes;
+      Obs.count ~scope:obs_scope "merkle_verifies")
+    v.path_hashes;
+  if v.decrypted then begin
+    t.stats.page_decrypts <- t.stats.page_decrypts + 1;
+    Obs.count ~scope:obs_scope "page_decrypts"
+  end;
+  v.result
+
+let read_page_once t index =
+  let raw = fetch t index in
+  fold t (verify_raw t ~root_mac:(current_root_mac t) index raw)
+
+(* Recovery: a MAC/Merkle mismatch or corrupt page is re-read and
+   re-verified up to [read_retry_budget] times (transient media faults
+   heal; genuine tampering and bit rot keep failing and surface as the
+   typed error). Only active under a fault plan, so without one a
+   failed [first] attempt is the answer. [heal] marks the incidents of
+   the attempts recovered. *)
+let with_rereads t index first ~heal =
+  let rec attempt n = function
     | Ok plain ->
-        if n > 0 then Fault.note_recovered_since t.faults mark;
+        if n > 0 then heal ();
         Ok plain
     | Error (Tampered_page _ | Corrupt_page _)
       when Fault.enabled t.faults && n < read_retry_budget ->
         Fault.note_retry t.faults ~action:"securestore.reread";
         Obs.count ~scope:obs_scope "page_rereads";
-        attempt (n + 1)
+        attempt (n + 1) (read_page_once t index)
     | Error e -> Error e
   in
-  attempt 0
+  attempt 0 first
 
-(* Batched verified read: the amortized, lane-parallel form of
-   [read_page]. Three phases keep every mutable structure out of the
-   fan-out:
+let in_range t index = index >= 0 && index < t.data_pages
 
-     1. serial   — raw device reads, one root-vs-anchor freshness check
-                   for the whole batch, per-page key prefetch;
-     2. parallel — per-page MAC check, Merkle path verification (one
-                   batch verifier per lane, sharing ancestor work
-                   across the lane's pages) and decrypt, striped
-                   round-robin so each result slot has one writer;
-     3. serial   — stats/telemetry fold, and any page that failed in
-                   the batch is retried through [read_page], which owns
-                   the fault-recovery budget.
+let read_page t index =
+  if not (in_range t index) then
+    invalid_arg "Secure_store.read_page: index out of range";
+  let mark = Fault.incident_count t.faults in
+  with_rereads t index (read_page_once t index) ~heal:(fun () ->
+      Fault.note_recovered_since t.faults mark)
 
-   Checks per page are exactly the [read_page_once] checks; only the
-   Merkle path work is shared, which is sound because every shared
-   segment was chained to the (anchor-checked) root when first
-   verified. CBC batches parallelize across pages; CTR batches can
-   also split inside a page, which is what the bench's multi-lane
-   decrypt kernels exercise. *)
-let read_pages t ?(lanes = 1) indices =
-  let idx = Array.of_list indices in
-  let n = Array.length idx in
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= t.data_pages then
-        invalid_arg "Secure_store.read_pages: index out of range")
-    idx;
-  if n = 0 then Ok []
-  else begin
-    (* phase 1: serial device reads + one freshness check per batch *)
+module Batch = struct
+  type store = t
+
+  type t = {
+    store : store;
+    pages : int array;
+    raw : string array; (* "" for an out-of-range index *)
+    marks : int array;
+        (* fault incident count before each fetch, and after the last:
+           slot k's first attempt owns incidents [marks.(k), marks.(k+1)) *)
+    root_mac : string;
+    verdicts : verdict array; (* [unverified] until phase 2 ran *)
+    mutable released : bool;
+  }
+
+  let unverified =
+    {
+      result = Error Stale_root;
+      mac_checked = false;
+      path_hashes = None;
+      decrypted = false;
+    }
+
+  let read store pages =
+    let n = Array.length pages in
+    let marks = Array.make (n + 1) 0 in
     let raw =
-      Array.map
-        (fun i ->
-          t.stats.device_reads <- t.stats.device_reads + 1;
-          S.Block_device.read_page t.device i)
-        idx
+      Array.mapi
+        (fun k index ->
+          marks.(k) <- Fault.incident_count store.faults;
+          if in_range store index then fetch store index else "")
+        pages
     in
-    Obs.count ~n ~scope:obs_scope "pages_read";
-    if not (C.Constant_time.equal (current_root_mac t) t.anchored_root) then
-      Error Stale_root
-    else begin
-      (* per-page keys are a lazily filled cache: prefetch serially so
-         the fan-out never mutates it *)
-      Array.iter (fun i -> ignore (page_key t i)) idx;
-      let lanes = max 1 lanes in
-      let out = Array.make n (Error Stale_root) in
-      let lane_hashes = Array.make lanes 0 in
-      (* phase 2: each lane owns slots lane, lane+lanes, ... *)
-      let work lane =
-        let bv =
-          C.Merkle.batch_verifier ~key:(Keyslot.page_mac_key t.keys) t.merkle
-        in
-        let p = ref lane in
-        while !p < n do
-          let slot = !p in
-          let index = idx.(slot) and page = raw.(slot) in
-          out.(slot) <-
-            (match ciphertext_len page with
-            | None -> corrupt_length index
-            | Some clen ->
-                let mac = String.sub page 16 32 in
-                if not (C.Constant_time.equal (page_mac t index page clen) mac)
-                then Error (Tampered_page index)
-                else if not (C.Merkle.verify_leaf bv index ~leaf_tag:mac) then
-                  Error (Tampered_page index)
-                else decrypt_page t index page clen);
-          p := !p + lanes
-        done;
-        lane_hashes.(lane) <- C.Merkle.batch_hash_ops bv
-      in
-      C.Lanes.run ~lanes work;
-      (* phase 3: serial stats fold + per-page fault recovery *)
-      t.stats.page_mac_checks <- t.stats.page_mac_checks + n;
-      Obs.count ~n ~scope:obs_scope "hmac_checks";
-      Array.iter
-        (fun h -> t.stats.merkle_hashes <- t.stats.merkle_hashes + h)
-        lane_hashes;
-      Obs.count ~n ~scope:obs_scope "merkle_verifies";
-      let decrypts =
-        Array.fold_left
-          (fun acc r -> match r with Ok _ -> acc + 1 | Error _ -> acc)
-          0 out
-      in
-      t.stats.page_decrypts <- t.stats.page_decrypts + decrypts;
-      Obs.count ~n:decrypts ~scope:obs_scope "page_decrypts";
-      let rec collect k acc =
-        if k < 0 then Ok acc
-        else
-          match out.(k) with
-          | Ok plain -> collect (k - 1) (plain :: acc)
-          | Error _ -> (
-              match read_page t idx.(k) with
-              | Ok plain -> collect (k - 1) (plain :: acc)
-              | Error e -> Error e)
-      in
-      collect (n - 1) []
+    marks.(n) <- Fault.incident_count store.faults;
+    store.batches_in_flight <- store.batches_in_flight + 1;
+    {
+      store;
+      pages;
+      raw;
+      marks;
+      root_mac = current_root_mac store;
+      verdicts = Array.make n unverified;
+      released = false;
+    }
+
+  let verify b k =
+    let index = b.pages.(k) in
+    if in_range b.store index then
+      b.verdicts.(k) <-
+        verify_raw b.store ~root_mac:b.root_mac index b.raw.(k)
+
+  let take b k =
+    let t = b.store and index = b.pages.(k) in
+    if not (in_range t index) then
+      invalid_arg "Secure_store.read_page: index out of range";
+    if b.verdicts.(k) == unverified then verify b k;
+    let mark = Fault.incident_count t.faults in
+    with_rereads t index (fold t b.verdicts.(k)) ~heal:(fun () ->
+        Fault.note_recovered_between t.faults b.marks.(k) b.marks.(k + 1);
+        Fault.note_recovered_since t.faults mark)
+
+  let release b =
+    if not b.released then begin
+      b.released <- true;
+      b.store.batches_in_flight <- b.store.batches_in_flight - 1
     end
-  end
+end
 
 (* First-time initialization: generate data key, persist it to RPMB,
    build an empty Merkle tree over zeroed leaf tags. *)
@@ -502,6 +543,7 @@ let initialize ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
           stats = fresh_stats ();
           anchored_root = "";
           faults = Fault.none;
+          batches_in_flight = 0;
         }
       in
       (* persist initial (empty) leaf tags *)
@@ -554,6 +596,7 @@ let open_existing ?(key_mode = Single_key) ?(page_mode = Cbc) ~device ~rpmb
             stats = fresh_stats ();
             anchored_root = "";
             faults = Fault.none;
+            batches_in_flight = 0;
           }
         in
         for i = 0 to data_pages - 1 do

@@ -42,7 +42,7 @@ type page_mode =
   | Ctr
       (** AES-CTR: identical page layout and MAC coverage (the nonce
           lives in the IV slot), but every 16-byte block is
-          independently decryptable, enabling multi-lane decrypt.
+          independently decryptable.
           Nonces are derived from (per-boot salt, page id, write
           epoch), never reused per key. *)
 
@@ -83,16 +83,43 @@ val set_faults : t -> Ironsafe_fault.Fault.t -> unit
     genuine attacks are never retried away. *)
 
 val write_page : t -> int -> string -> (unit, error) result
+(** Raises [Invalid_argument] while a {!Batch} is in flight: its pages
+    may be verifying on another domain against the current tree. *)
+
 val read_page : t -> int -> (string, error) result
 
-val read_pages : t -> ?lanes:int -> int list -> (string list, error) result
-(** Batched verified read with the same per-page checks as
-    {!read_page}, but amortized across the batch: one root-freshness
-    check, Merkle paths verified with shared ancestor work, and the
-    MAC/decrypt work of the batch fanned out over [lanes] domains
-    (default 1 = inline). Results are in request order; a page that
-    fails in the batch is retried through {!read_page}'s recovery
-    budget before the error is surfaced. *)
+(** Batched verified reads: the same per-page work as {!read_page} —
+    one device read, one page MAC, the full Merkle path, the
+    root-vs-anchor compare and one decrypt — split into phases so that
+    the verification of a window of pages can run on another domain
+    while the caller consumes the previous window. *)
+module Batch : sig
+  type store := t
+  type t
+
+  val read : store -> int array -> t
+  (** Phase 1, on the caller: read the pages from the device in order
+      (fault hooks, [device_reads], Obs counts and per-page keys) and
+      snapshot the current root's MAC. The batch is in flight until
+      {!release}. An out-of-range index is reported by {!take}. *)
+
+  val verify : t -> int -> unit
+  (** Phase 2 for slot [k]: MAC, Merkle path, root compare and
+      decrypt. Touches only state that is immutable while the batch is
+      in flight, so it may run on any domain, once per slot. *)
+
+  val take : t -> int -> (string, error) result
+  (** Phase 3 for slot [k], on the caller, in slot order: fold the
+      slot's work into {!stats} and the Obs counters and return its
+      payload (verifying it first if no domain did). Under a fault plan
+      a failed page is re-read through {!read_page}'s budget; without
+      one the first verdict is final. Raises [Invalid_argument] for an
+      out-of-range index. *)
+
+  val release : t -> unit
+  (** End the batch's flight (idempotent). Verification of its slots
+      must have finished or been abandoned. *)
+end
 
 val page_mode : t -> page_mode
 

@@ -138,9 +138,7 @@ let reload t =
 let iter_pages t pages ~f =
   flush t;
   let arity = Schema.arity t.schema in
-  List.iter
-    (fun page ->
-      let payload = Pager.read t.pager page in
+  Pager.scan t.pager pages ~f:(fun page payload ->
       let nrows = (Char.code payload.[0] lsl 8) lor Char.code payload.[1] in
       let off = ref 2 in
       for _ = 1 to nrows do
@@ -148,7 +146,6 @@ let iter_pages t pages ~f =
         f ~page row;
         off := next
       done)
-    pages
 
 let iter t ~f = iter_pages t (stored_pages t) ~f:(fun ~page:_ row -> f row)
 

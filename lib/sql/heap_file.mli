@@ -21,7 +21,11 @@ val iter : t -> f:(Row.t -> unit) -> unit
 (** Full scan in storage order (flushes first). *)
 
 val iter_pages : t -> int list -> f:(page:int -> Row.t -> unit) -> unit
-(** Scan only the given pages (index-driven access path). *)
+(** Scan only the given pages (index-driven access path), through
+    {!Pager.scan}: on a secure pager the pages are read and verified in
+    windows, the next window on a helper domain while [f] consumes the
+    current one. A failing page raises after the rows of the pages
+    before it were delivered. *)
 
 val to_list : t -> Row.t list
 

@@ -357,14 +357,74 @@ let test_ctr_into_validates () =
 
 (* -- Lanes -------------------------------------------------------------- *)
 
+(* Every item of a job runs exactly once, whichever domain claims it,
+   and its effects are visible after [await]; scopes nest without a
+   second helper; an item's exception reaches [await]; [cancel] leaves
+   nothing running and the helper serves the next job. *)
 let test_lanes () =
   Alcotest.(check bool) "at least one lane" true (Lanes.available () >= 1);
-  let hits = Array.make 4 0 in
-  Lanes.run ~lanes:4 (fun i -> hits.(i) <- hits.(i) + 1);
-  Alcotest.(check (array int)) "each lane ran once" [| 1; 1; 1; 1 |] hits;
-  Lanes.run ~lanes:1 (fun i -> Alcotest.(check int) "inline lane id" 0 i);
-  Alcotest.check_raises "worker exception propagates" Exit (fun () ->
-      Lanes.run ~lanes:3 (fun i -> if i = 2 then raise Exit))
+  let page = String.make 4096 'l' in
+  let run_job n =
+    let hits = Array.init n (fun _ -> Atomic.make 0) in
+    (* items long enough that the helper is often mid-item when the
+       caller runs out of unclaimed ones *)
+    let j =
+      Lanes.submit n (fun i ->
+          ignore (Sha256.digest page);
+          Atomic.incr hits.(i))
+    in
+    Lanes.await j;
+    Array.iteri
+      (fun i a -> Alcotest.(check int) (Printf.sprintf "item %d ran once" i) 1 (Atomic.get a))
+      hits
+  in
+  run_job 5;
+  Lanes.with_helper (fun () ->
+      for n = 0 to 40 do
+        run_job n
+      done;
+      Lanes.with_helper (fun () -> run_job 64);
+      Alcotest.check_raises "item exception reaches await" Exit (fun () ->
+          Lanes.await (Lanes.submit 8 (fun i -> if i = 5 then raise Exit)));
+      let started = Atomic.make 0 in
+      let j =
+        Lanes.submit 1000 (fun _ ->
+            Atomic.incr started;
+            ignore (Sha256.digest page))
+      in
+      Lanes.cancel j;
+      let after = Atomic.get started in
+      Alcotest.(check bool) "cancel stops the job" true (after < 1000);
+      Alcotest.(check int) "nothing runs after cancel" after (Atomic.get started);
+      run_job 33;
+      (* the caller's item waits (up to 2 s) until the helper holds the
+         other, then returns at once: [await] must still wait for the
+         helper's slow item *)
+      let me = Domain.self () and helper_in = Atomic.make false in
+      let deadline = Unix.gettimeofday () +. 2.0 in
+      let done_ = Array.init 2 (fun _ -> Atomic.make false) in
+      Lanes.await
+        (Lanes.submit 2 (fun i ->
+             if Domain.self () = me then
+               while
+                 (not (Atomic.get helper_in)) && Unix.gettimeofday () < deadline
+               do
+                 Domain.cpu_relax ()
+               done
+             else begin
+               Atomic.set helper_in true;
+               for _ = 1 to 200 do
+                 ignore (Sha256.digest page)
+               done
+             end;
+             Atomic.set done_.(i) true));
+      Alcotest.(check (array bool)) "await waited for the helper's item"
+        [| true; true |] (Array.map Atomic.get done_));
+  Alcotest.check_raises "scope exception propagates" Exit (fun () ->
+      Lanes.with_helper (fun () ->
+          Lanes.await (Lanes.submit 4 ignore);
+          raise Exit));
+  run_job 3
 
 (* -- DRBG ------------------------------------------------------------- *)
 
@@ -469,33 +529,6 @@ let test_merkle_hash_ops () =
   Merkle.update t 0 "x";
   (* leaf tag + 3 internal + root-path... update recomputes depth+1 nodes *)
   Alcotest.(check bool) "ops counted" true (Merkle.hash_ops t > 0)
-
-(* Batched verification: every leaf must verify against the snapshot
-   root, later leaves must stop at memoized ancestors (amortizing the
-   per-leaf path cost), and tampering must still be rejected. *)
-let test_merkle_batch_verifier () =
-  let t = Merkle.create ~key:"merkle-key" ~leaves:16 in
-  for i = 0 to 15 do
-    Merkle.update t i (Printf.sprintf "page-%d" i)
-  done;
-  let bv = Merkle.batch_verifier ~key:"merkle-key" t in
-  for i = 0 to 15 do
-    Alcotest.(check bool)
-      (Printf.sprintf "leaf %d verifies" i)
-      true
-      (Merkle.verify_leaf bv i ~leaf_tag:(Merkle.leaf t i))
-  done;
-  (* a cold path costs [depth] hashes per leaf; memoization must beat
-     that over the full batch *)
-  Alcotest.(check bool) "amortized below depth per leaf" true
-    (Merkle.batch_hash_ops bv < 16 * Merkle.depth t);
-  Alcotest.(check bool) "tampered tag rejected" false
-    (Merkle.verify_leaf bv 3 ~leaf_tag:(Merkle.leaf_tag_of_data t "tampered"));
-  Alcotest.(check bool) "displaced leaf rejected" false
-    (Merkle.verify_leaf bv 3 ~leaf_tag:(Merkle.leaf t 4));
-  let bad = Merkle.batch_verifier ~key:"other-key" t in
-  Alcotest.(check bool) "wrong key rejected" false
-    (Merkle.verify_leaf bad 0 ~leaf_tag:(Merkle.leaf t 0))
 
 (* -- Lamport ------------------------------------------------------------ *)
 
@@ -719,7 +752,6 @@ let suite =
     ("merkle proofs", `Quick, test_merkle_proofs);
     ("merkle wrong key", `Quick, test_merkle_wrong_key);
     ("merkle hash ops", `Quick, test_merkle_hash_ops);
-    ("merkle batch verifier", `Quick, test_merkle_batch_verifier);
     ("lamport", `Quick, test_lamport);
     ("signature", `Quick, test_signature);
   ]

@@ -10,15 +10,15 @@ module Metrics = Ironsafe_obs.Metrics
 
 let hardware_key = String.make 32 'H'
 
-let setup ?(data_pages = 8) ?(page_mode = Sec.Secure_store.Cbc) () =
+let setup ?(data_pages = 8) ?(page_mode = Sec.Secure_store.Cbc) ?key_mode () =
   let device =
     S.Block_device.create ~pages:(Sec.Secure_store.device_pages_for ~data_pages)
   in
   let rpmb = S.Rpmb.create () in
   let drbg = C.Drbg.create ~seed:"securestore-test" in
   match
-    Sec.Secure_store.initialize ~device ~rpmb ~hardware_key ~page_mode
-      ~data_pages ~drbg ()
+    Sec.Secure_store.initialize ?key_mode ~device ~rpmb ~hardware_key
+      ~page_mode ~data_pages ~drbg ()
   with
   | Ok store -> (device, rpmb, store, drbg)
   | Error e -> Alcotest.failf "init failed: %a" Sec.Secure_store.pp_error e
@@ -326,35 +326,100 @@ let test_ctr_reopen () =
       Alcotest.(check string) "post-reboot write" "ctr post-reboot write"
         (read_ok store2 4)
 
-(* The batched read path must return exactly what page-at-a-time reads
-   return, in request order, whatever the lane count, in both cipher
-   modes — and surface the same integrity verdicts. *)
-let test_read_pages_matches_read_page () =
+(* A batched read returns exactly what page-at-a-time reads return,
+   slot by slot, in both cipher modes; a tampered member fails at its
+   own slot with the single-page verdict, and an out-of-range index
+   raises at its own slot. *)
+let test_batch_matches_read_page () =
+  let module B = Sec.Secure_store.Batch in
   List.iter
     (fun page_mode ->
       let device, _, store, _ = setup ~data_pages:16 ~page_mode () in
       for i = 0 to 15 do
         write_ok store i (Printf.sprintf "bulk page %d" i)
       done;
-      let idx = [ 3; 0; 15; 7; 3 ] in
-      let expect = List.map (fun i -> read_ok store i) idx in
-      List.iter
-        (fun lanes ->
-          match Sec.Secure_store.read_pages store ~lanes idx with
-          | Ok got ->
-              Alcotest.(check (list string)) "batch = singles" expect got
-          | Error e ->
-              Alcotest.failf "read_pages: %a" Sec.Secure_store.pp_error e)
-        [ 1; 4 ];
-      (* a tampered member poisons the batch with the same verdict the
-         single-page path gives *)
+      let idx = [| 3; 0; 15; 7; 3 |] in
+      let expect = Array.map (read_ok store) idx in
+      let b = B.read store idx in
+      Array.iteri (fun k _ -> B.verify b k) idx;
+      Array.iteri
+        (fun k e ->
+          match B.take b k with
+          | Ok got -> Alcotest.(check string) "batch = single" e got
+          | Error err -> Alcotest.failf "take: %a" Sec.Secure_store.pp_error err)
+        expect;
+      B.release b;
       S.Block_device.tamper device ~page:7 ~offset:60;
-      match Sec.Secure_store.read_pages store ~lanes:4 idx with
+      let b = B.read store idx in
+      (* slots nobody verified are verified by [take] *)
+      for k = 0 to 2 do
+        Alcotest.(check (result string reject)) "before the tampered page"
+          (Ok expect.(k)) (B.take b k)
+      done;
+      (match B.take b 3 with
       | Error (Sec.Secure_store.Tampered_page 7) -> ()
       | Ok _ -> Alcotest.fail "batch accepted a tampered page"
       | Error e ->
-          Alcotest.failf "unexpected error: %a" Sec.Secure_store.pp_error e)
+          Alcotest.failf "unexpected error: %a" Sec.Secure_store.pp_error e);
+      B.release b;
+      let page1 = read_ok store 1 in
+      let b = B.read store [| 1; 16 |] in
+      Alcotest.(check (result string reject)) "in range" (Ok page1) (B.take b 0);
+      Alcotest.check_raises "out of range at its slot"
+        (Invalid_argument "Secure_store.read_page: index out of range")
+        (fun () -> ignore (B.take b 1));
+      B.release b)
     [ Sec.Secure_store.Cbc; Sec.Secure_store.Ctr ]
+
+(* A store's writes are refused while a batch is in flight, and allowed
+   again once it is released. *)
+let test_write_refused_in_flight () =
+  let module B = Sec.Secure_store.Batch in
+  let _, _, store, _ = setup () in
+  write_ok store 2 "before";
+  let b = B.read store [| 2 |] in
+  Alcotest.check_raises "write in flight"
+    (Invalid_argument "Secure_store.write_page: a batched read is in flight")
+    (fun () -> ignore (Sec.Secure_store.write_page store 2 "during"));
+  Alcotest.(check (result string reject)) "read still works" (Ok "before")
+    (B.take b 0);
+  B.release b;
+  B.release b;
+  write_ok store 2 "after";
+  Alcotest.(check string) "write after release" "after" (read_ok store 2)
+
+(* Without a fault plan a failed page is never re-read: one tampered
+   page costs one device read and one MAC check. Under a plan it gets
+   the re-read budget. *)
+let test_no_reread_without_plan () =
+  let module B = Sec.Secure_store.Batch in
+  let device, _, store, _ = setup () in
+  write_ok store 5 "tampered soon";
+  S.Block_device.tamper device ~page:5 ~offset:60;
+  let tampered_read () =
+    Sec.Secure_store.reset_stats store;
+    let b = B.read store [| 5 |] in
+    (match B.take b 0 with
+    | Error (Sec.Secure_store.Tampered_page 5) -> ()
+    | _ -> Alcotest.fail "tampered page not reported");
+    B.release b;
+    Sec.Secure_store.stats store
+  in
+  let s = tampered_read () in
+  Alcotest.(check int) "one device read" 1 s.Sec.Secure_store.device_reads;
+  Alcotest.(check int) "one mac check" 1 s.Sec.Secure_store.page_mac_checks;
+  Alcotest.(check int) "no decrypt" 0 s.Sec.Secure_store.page_decrypts;
+  let plan =
+    Ironsafe_fault.Fault.make ~seed:1
+      [ (Ironsafe_fault.Fault.Device_read_transient,
+         Ironsafe_fault.Fault.rule ~prob:0.0 ()) ]
+  in
+  Sec.Secure_store.set_faults store plan;
+  let s = tampered_read () in
+  Alcotest.(check int) "re-read budget under a plan" 4
+    s.Sec.Secure_store.device_reads;
+  Alcotest.(check int) "a mac check per attempt" 4
+    s.Sec.Secure_store.page_mac_checks
 
 (* -- observability instrumentation ------------------------------------- *)
 
@@ -426,26 +491,36 @@ let test_byte_flip_typed_error () =
       done)
     [ Sec.Secure_store.Cbc; Sec.Secure_store.Ctr ]
 
-(* Batched reads on two domains: every page verifies in the batch, so
-   none falls back to a serial re-read (a race on shared hash scratch
-   would show up as spurious MAC failures and extra device reads). *)
-let test_read_pages_two_lanes () =
+(* Batched reads verified on two domains: every page verifies, so none
+   is re-read, and each page costs one device read, one MAC and one
+   decrypt (a race on shared hash scratch would show up as spurious MAC
+   failures). *)
+let test_batch_two_domains () =
+  let module B = Sec.Secure_store.Batch in
   let data_pages = 32 in
   let _, _, store, _ = setup ~data_pages () in
   for i = 0 to data_pages - 1 do
     write_ok store i
       (String.make Sec.Secure_store.capacity (Char.chr (65 + (i mod 26))))
   done;
-  let idx = List.init data_pages Fun.id in
-  let expect = List.map (read_ok store) idx in
+  let idx = Array.init data_pages Fun.id in
+  let expect = Array.map (read_ok store) idx in
   let batches = 6 in
   Sec.Secure_store.reset_stats store;
   with_obs (fun () ->
-      for _ = 1 to batches do
-        match Sec.Secure_store.read_pages store ~lanes:2 idx with
-        | Ok got -> Alcotest.(check (list string)) "batch = singles" expect got
-        | Error e -> Alcotest.failf "read_pages: %a" Sec.Secure_store.pp_error e
-      done;
+      C.Lanes.with_helper (fun () ->
+          for _ = 1 to batches do
+            let b = B.read store idx in
+            C.Lanes.await (C.Lanes.submit data_pages (B.verify b));
+            Array.iteri
+              (fun k e ->
+                match B.take b k with
+                | Ok got -> Alcotest.(check string) "batch = single" e got
+                | Error e ->
+                    Alcotest.failf "take: %a" Sec.Secure_store.pp_error e)
+              expect;
+            B.release b
+          done);
       let rereads =
         Metrics.counter_value (Obs.metrics ()) ~scope:"securestore" "page_rereads"
       in
@@ -455,6 +530,69 @@ let test_read_pages_two_lanes () =
   Alcotest.(check int) "one device read per page" n s.Sec.Secure_store.device_reads;
   Alcotest.(check int) "one mac check per page" n s.Sec.Secure_store.page_mac_checks;
   Alcotest.(check int) "one decrypt per page" n s.Sec.Secure_store.page_decrypts
+
+(* A scan of a heap file on the secure pager with page j tampered
+   (inside the second window, while the third is verifying on the
+   helper): it delivers exactly the rows of the pages before j, then
+   raises; the observer counts what a serial scan counts; the next scan
+   works; and a write from the scan callback raises instead of racing
+   the verification. *)
+let test_tamper_mid_window () =
+  let module Sql = Ironsafe_sql in
+  let device, _, store, _ = setup ~data_pages:128 () in
+  let pager = Sql.Pager.secure store in
+  let db = Sql.Database.create ~pager in
+  ignore (Sql.Database.exec db "create table t (k int, pad varchar)");
+  let pad = String.make 400 'p' in
+  Sql.Database.insert_rows db "t"
+    (List.init 800 (fun i -> [| Sql.Value.Int i; Sql.Value.Str pad |]));
+  let hf = Sql.Catalog.find (Sql.Database.catalog db) "t" in
+  let pages = Sql.Heap_file.stored_pages hf in
+  Alcotest.(check bool) "more than two windows" true (List.length pages > 64);
+  let scan () =
+    let got = ref [] in
+    Sql.Heap_file.iter_pages hf pages ~f:(fun ~page row ->
+        got := (page, row) :: !got);
+    List.rev !got
+  in
+  let clean = scan () in
+  Alcotest.(check int) "all rows" 800 (List.length clean);
+  let j = 37 in
+  let bad = List.nth pages j in
+  let before = List.filteri (fun i _ -> i < j) pages in
+  S.Block_device.tamper device ~page:bad ~offset:60;
+  let obs, c = Sql.Observer.counting () in
+  Sql.Pager.set_observer pager obs;
+  let got = ref [] in
+  (match
+     Sql.Heap_file.iter_pages hf pages ~f:(fun ~page row ->
+         got := (page, row) :: !got)
+   with
+  | () -> Alcotest.fail "scan accepted a tampered page"
+  | exception Sql.Pager.Integrity_failure _ -> ());
+  Alcotest.(check bool) "exactly the rows before the tampered page" true
+    (List.rev !got = List.filter (fun (p, _) -> List.mem p before) clean);
+  let batched_reads = c.Sql.Observer.page_reads in
+  let obs, c = Sql.Observer.counting () in
+  Sql.Pager.set_observer pager obs;
+  (try List.iter (fun p -> ignore (Sql.Pager.read pager p)) pages
+   with Sql.Pager.Integrity_failure _ -> ());
+  Alcotest.(check int) "observer counts what a serial scan counts"
+    c.Sql.Observer.page_reads batched_reads;
+  Alcotest.(check int) "pages up to the failing one" (j + 1) batched_reads;
+  Sql.Pager.set_observer pager Sql.Observer.null;
+  S.Block_device.tamper device ~page:bad ~offset:60;
+  Alcotest.(check bool) "a second scan works" true (scan () = clean);
+  let target = List.nth pages 40 in
+  Alcotest.check_raises "write from the scan callback"
+    (Invalid_argument "Secure_store.write_page: a batched read is in flight")
+    (fun () ->
+      Sql.Heap_file.iter_pages hf pages ~f:(fun ~page _ ->
+          if page = target then
+            ignore (Sec.Secure_store.write_page store page "x")));
+  let p0 = read_ok store bad in
+  write_ok store bad p0;
+  Alcotest.(check bool) "writes and scans work afterwards" true (scan () = clean)
 
 (* The securestore-scope metrics must match the analytically known
    counts: reading back an N-page store is exactly N page reads, N MAC
@@ -520,9 +658,64 @@ let test_index_reduces_decrypts () =
         true
         (indexed < full_scan && full_scan > 1 && indexed >= 1))
 
+(* One store per (cipher mode, key mode), written once and shared by
+   the cases of the equivalence property below. *)
+let scan_stores =
+  lazy
+    (List.map
+       (fun (page_mode, key_mode) ->
+         let _, _, store, _ = setup ~data_pages:80 ~page_mode ~key_mode () in
+         for i = 0 to 79 do
+           write_ok store i (Printf.sprintf "scan page %d" i ^ String.make i '.')
+         done;
+         store)
+       Sec.Secure_store.
+         [
+           (Cbc, Single_key); (Cbc, Per_page_keys); (Ctr, Single_key);
+           (Ctr, Per_page_keys);
+         ])
+
+let stats_tuple store =
+  let s = Sec.Secure_store.stats store in
+  Sec.Secure_store.
+    ( s.device_reads,
+      s.page_mac_checks,
+      s.merkle_hashes,
+      s.page_decrypts,
+      s.rpmb_accesses )
+
+(* The batched scan against a serial loop of [read_page]: the same
+   payloads, stats deltas and observer page reads, on random page lists
+   with duplicates and lists longer than two windows (so that, on a
+   multi-core host, the helper domain verifies beside the caller). *)
+let scan_equivalence =
+  QCheck.Test.make ~name:"batched scan = serial read_page loop" ~count:60
+    QCheck.(pair (int_bound 3) (list_of_size Gen.(0 -- 100) (int_bound 79)))
+    (fun (mode, pages) ->
+      let store = List.nth (Lazy.force scan_stores) mode in
+      let pager = Ironsafe_sql.Pager.secure store in
+      let run read_all =
+        let obs, c = Ironsafe_sql.Observer.counting () in
+        Ironsafe_sql.Pager.set_observer pager obs;
+        Sec.Secure_store.reset_stats store;
+        let payloads = read_all () in
+        (payloads, stats_tuple store, c.Ironsafe_sql.Observer.page_reads)
+      in
+      let serial =
+        run (fun () -> List.map (Ironsafe_sql.Pager.read pager) pages)
+      in
+      let batched =
+        run (fun () ->
+            let acc = ref [] in
+            Ironsafe_sql.Pager.scan pager pages ~f:(fun _ p -> acc := p :: !acc);
+            List.rev !acc)
+      in
+      serial = batched)
+
 let qcheck_tests =
   let open QCheck in
   [
+    scan_equivalence;
     Test.make ~name:"secure store roundtrips arbitrary payloads" ~count:40
       (pair (int_bound 7) (string_of_size Gen.(0 -- Sec.Secure_store.capacity)))
       (fun (i, data) ->
@@ -576,10 +769,13 @@ let suite =
     ("ctr roundtrip", `Quick, test_ctr_roundtrip);
     ("ctr tamper detected", `Quick, test_ctr_tamper_detected);
     ("ctr reopen after reboot", `Quick, test_ctr_reopen);
-    ("read_pages matches read_page", `Quick, test_read_pages_matches_read_page);
+    ("batched read matches read_page", `Quick, test_batch_matches_read_page);
+    ("write refused while a batch is in flight", `Quick, test_write_refused_in_flight);
+    ("no re-read without a fault plan", `Quick, test_no_reread_without_plan);
     ("read work unchanged", `Quick, test_read_work_unchanged);
     ("byte flip is a typed error", `Quick, test_byte_flip_typed_error);
-    ("read_pages on two lanes", `Quick, test_read_pages_two_lanes);
+    ("batched read on two domains", `Quick, test_batch_two_domains);
+    ("tamper mid-window", `Quick, test_tamper_mid_window);
     ("obs counters match analytic counts", `Quick, test_obs_counters_match_analytic);
     ("index reduces decrypts", `Quick, test_index_reduces_decrypts);
   ]
